@@ -10,8 +10,8 @@ future PRs:
   univocality analyses are recompiled per call;
 * ``warm``  — one :class:`repro.ExchangeEngine` serving repeated requests on
   the same compiled setting (cache-stats counters prove the reuse);
-* ``batch`` — trees/second of ``certain_answers_batch`` sequentially and
-  with a thread pool.
+* ``batch`` — trees/second of ``certain_answers_batch`` (an
+  order-preserving loop over ``certain_answers``).
 
 Runs both under pytest-benchmark (like the other E-files) and standalone::
 
@@ -19,22 +19,19 @@ Runs both under pytest-benchmark (like the other E-files) and standalone::
 
 The ``--generated N --seed S`` mode benchmarks a *generated* workload
 (:func:`repro.workloads.generated.benchmark_workload`) instead of the fixed
-library schema: serial vs thread vs process batch throughput on the same
-tree set (fresh result cache per pass), then a repeat pass demonstrating
-the engine-level result cache on repeated trees::
+library schema: batch throughput on the tree set with a fresh result cache,
+then a repeat pass demonstrating the engine-level result cache on repeated
+trees::
 
-    python benchmarks/bench_engine.py --generated 50 --seed 7 \\
-        --parallel 4 --executor process
+    python benchmarks/bench_engine.py --generated 50 --seed 7
 
-Exit-code gates are deterministic only (executor parity, cache hits on the
-repeat pass, zero recompilations); raw throughput ordering is reported but
-machine-dependent — in particular, on a single-core container a process
-pool cannot beat a thread pool, and the bench says so instead of failing.
+Exit-code gates are deterministic only (repeat-pass parity, cache hits on
+the repeat pass, zero recompilations); raw throughput is reported but
+machine-dependent.
 """
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -91,8 +88,7 @@ def test_batch_throughput(benchmark):
     engine = ExchangeEngine(library.library_setting())
     sources = _sources(16, n_books=10)
     query = library.query_writer_of("Book-0")
-    results = benchmark(lambda: engine.certain_answers_batch(sources, query,
-                                                             parallel=4))
+    results = benchmark(lambda: engine.certain_answers_batch(sources, query))
     assert all(r.ok for r in results)
 
 
@@ -121,7 +117,7 @@ def _time(operation, repeat: int) -> float:
 
 
 def run_generated(args) -> int:
-    """The ``--generated N`` mode: executor shoot-out on a seeded workload."""
+    """The ``--generated N`` mode: batch throughput on a seeded workload."""
     from repro.workloads.generated import benchmark_workload
 
     started = time.perf_counter()
@@ -135,46 +131,26 @@ def run_generated(args) -> int:
           f"/{max(len(t) for t in trees)}")
     print(f"workload generation : {time.perf_counter() - started:6.2f} s")
 
-    def timed_pass(executor, parallel):
-        engine.clear_result_cache()
-        begun = time.perf_counter()
-        results = engine.certain_answers_batch(trees, query,
-                                               parallel=parallel,
-                                               executor=executor)
-        return time.perf_counter() - begun, results
-
-    serial_time, serial_results = timed_pass("serial", None)
-    thread_time, thread_results = timed_pass("thread", args.parallel)
-    chosen = args.executor
-    if chosen == "thread":
-        chosen_time, chosen_results = thread_time, thread_results
-    else:
-        chosen_time, chosen_results = timed_pass(chosen, args.parallel)
-
+    begun = time.perf_counter()
+    serial_results = engine.certain_answers_batch(trees, query)
+    serial_time = time.perf_counter() - begun
     n = len(trees)
     print(f"batch serial        : {n / serial_time:8.1f} trees/s")
-    print(f"batch thread  x{args.parallel:<2}   : {n / thread_time:8.1f} trees/s")
-    if chosen != "thread":
-        print(f"batch {chosen} x{args.parallel:<2}  : {n / chosen_time:8.1f} trees/s")
 
     # Repeat pass on the warm engine: every tree repeats, so the result
-    # cache must answer without re-dispatching.
+    # cache must answer without re-computing.
     hits_before = engine.stats["result_cache_hits"]
     begun = time.perf_counter()
-    repeat_results = engine.certain_answers_batch(trees, query,
-                                                  parallel=args.parallel,
-                                                  executor=chosen)
+    repeat_results = engine.certain_answers_batch(trees, query)
     repeat_time = time.perf_counter() - begun
     cache_hits = engine.stats["result_cache_hits"] - hits_before
     print(f"repeat batch (warm) : {n / max(repeat_time, 1e-9):8.1f} trees/s "
           f"({cache_hits} result-cache hits)")
 
     failures = 0
-    views = [[(r.ok, r.payload) for r in results]
-             for results in (serial_results, thread_results, chosen_results,
-                             repeat_results)]
-    if not (views[0] == views[1] == views[2] == views[3]):
-        print("FAIL: executors returned different results on the same batch",
+    if ([(r.ok, r.payload) for r in serial_results]
+            != [(r.ok, r.payload) for r in repeat_results]):
+        print("FAIL: the cached repeat pass returned different results",
               file=sys.stderr)
         failures += 1
     if cache_hits <= 0:
@@ -185,23 +161,12 @@ def run_generated(args) -> int:
         print("FAIL: the engine recompiled a content model after compile",
               file=sys.stderr)
         failures += 1
-    if chosen == "process" and chosen_time > thread_time:
-        cores = os.cpu_count() or 1
-        note = (" (expected: this machine has a single CPU core, so a "
-                "process pool only adds IPC overhead)" if cores <= 1 else "")
-        print(f"WARNING: process batch ({n / chosen_time:.1f} trees/s) did "
-              f"not beat the thread batch ({n / thread_time:.1f} trees/s) "
-              f"on this run{note}", file=sys.stderr)
     _write_json(args.json, {
         "bench": "engine-generated",
         "seed": args.seed,
         "trees": n,
-        "parallel": args.parallel,
-        "executor": chosen,
         "setting_fingerprint": workload.setting.fingerprint()[:16],
         "serial_tps": n / serial_time,
-        "thread_tps": n / thread_time,
-        f"{chosen}_tps": n / chosen_time,
         "repeat_tps": n / max(repeat_time, 1e-9),
         "result_cache_hits": cache_hits,
         "rule_cache_misses": engine.stats["rule_cache_misses"],
@@ -220,11 +185,6 @@ def main(argv=None) -> int:
                              "instead of the library schema")
     parser.add_argument("--seed", type=int, default=7,
                         help="workload seed for --generated")
-    parser.add_argument("--parallel", type=int, default=4,
-                        help="worker count for the parallel passes")
-    parser.add_argument("--executor", default="process",
-                        choices=("thread", "process"),
-                        help="executor for the headline --generated pass")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write a machine-readable result file")
     args = parser.parse_args(argv)
@@ -250,14 +210,11 @@ def main(argv=None) -> int:
 
     sources = _sources(n_trees, n_books)
     seq = _time(lambda: engine.certain_answers_batch(sources, query), 3)
-    par = _time(lambda: engine.certain_answers_batch(sources, query,
-                                                     parallel=4), 3)
 
     print(f"cold per-call (rebuild setting) : {cold * 1e3:8.2f} ms/request")
     print(f"warm engine (compiled setting)  : {warm * 1e3:8.2f} ms/request "
           f"({cold / warm:4.1f}x)")
     print(f"batch sequential                : {n_trees / seq:8.1f} trees/s")
-    print(f"batch parallel=4                : {n_trees / par:8.1f} trees/s")
     print(f"rule-cache since compile        : {stats['rule_cache_hits']} hits, "
           f"{stats['rule_cache_misses']} misses")
     print(f"nested-relational skeleton cache: {stats.get('nr_skeletons_hits', 0)} hits, "
@@ -278,7 +235,6 @@ def main(argv=None) -> int:
         "warm_ms": warm * 1e3,
         "speedup": cold / warm,
         "batch_sequential_tps": n_trees / seq,
-        "batch_parallel_tps": n_trees / par,
         "rule_cache_hits": stats["rule_cache_hits"],
         "rule_cache_misses": stats["rule_cache_misses"],
         "failure_count": 1 if recompiled else 0,

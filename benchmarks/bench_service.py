@@ -454,7 +454,7 @@ def main(argv=None) -> int:
     parser.add_argument("--settings", type=int, default=3,
                         help="number of distinct generated settings")
     parser.add_argument("--executor", default="thread",
-                        choices=("serial", "thread", "process", "host"))
+                        choices=("serial", "thread", "host"))
     parser.add_argument("--parallel", type=int, default=4)
     parser.add_argument("--maxsize", type=int, default=2,
                         help="per-setting result-cache bound for the "

@@ -45,8 +45,7 @@ import sys
 #: Gating metrics per bench kind — all higher-is-better throughputs.
 #: Latency/context metrics below are printed but never gate.
 THROUGHPUT_METRICS = {
-    "engine-generated": ("serial_tps", "thread_tps", "process_tps",
-                         "repeat_tps"),
+    "engine-generated": ("serial_tps", "repeat_tps"),
     "service": ("throughput_rps",),
     "patterns": ("plan_eps", "plan_warm_eps"),
     "patterns-selective": ("join_eps", "recurrence_eps"),

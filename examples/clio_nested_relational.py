@@ -44,8 +44,7 @@ def main() -> None:
         "directory[person(@name=n)[position(@salary=s)]]"))
     projects, who, certain_salaries = engine.certain_answers_batch(
         [source, source, source],
-        [nr.query_projects_of("Dept-1"), roles, salaries],
-        parallel=3)
+        [nr.query_projects_of("Dept-1"), roles, salaries])
 
     print("\nCertain answers")
     print("  projects registered for Dept-1:", sorted(projects.payload))

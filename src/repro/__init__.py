@@ -17,7 +17,7 @@ and queries, and serves the whole pipeline through one object::
     engine.check_consistency().payload        # auto strategy routing (Sec 4)
     engine.solve(tree).payload                # canonical solution (Sec 6.1)
     engine.certain_answers(tree, query).payload
-    engine.certain_answers_batch(trees, query, parallel=4)
+    engine.certain_answers_batch(trees, query)   # order-preserving loop
 
 Every engine method returns an :class:`~repro.engine.EngineResult` (success
 flag, payload, strategy used, timing, cache statistics).  The original
@@ -35,10 +35,11 @@ The package is organised in layers:
 * :mod:`repro.patterns`   — tree-pattern formulae and CTQ//,∪ queries;
 * :mod:`repro.exchange`   — data exchange settings, consistency (Section 4),
   canonical pre-solutions, the chase and certain answers (Sections 5–6);
-* :mod:`repro.engine`     — the compiled, cached, batch-first facade over
+* :mod:`repro.engine`     — the compiled, cached facade over
   :mod:`repro.exchange`;
 * :mod:`repro.service`    — the serving layer: async multi-setting facade,
-  fingerprint-sharded routing, bounded caches, JSON-lines server/client;
+  fingerprint-sharded routing, bounded caches, the multi-process shard
+  host, JSON-lines server/client;
 * :mod:`repro.reductions` — the paper's hardness gadgets (3-SAT reductions);
 * :mod:`repro.workloads`  — scalable workload generators for the benchmarks.
 

@@ -33,9 +33,9 @@ Compile-time hook: with ``REPRO_PLAN_VERIFY=1`` (the test suite's
 default, see ``tests/conftest.py``) every ``compile_pattern`` /
 ``compile_query`` runs :func:`verify_plan` once and stamps
 ``plan.verified = True``.  The stamp travels through pickle, so plans
-shipped to process-pool workers inside compiled settings are **not**
-re-verified on unpickle — the worker path pays zero verification
-overhead.
+that arrive inside pickled compiled settings (over a shard-host pipe, or
+restored from a corpus store) are **not** re-verified on unpickle — that
+path pays zero verification overhead.
 
 CLI: ``python -m repro.analysis.plancheck`` compiles the committed
 workload settings (their STD source plans) plus their canned queries and

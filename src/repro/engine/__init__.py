@@ -6,17 +6,16 @@
   model NFAs and univocality analyses, structural verdicts, dichotomy
   routing, consistency machinery) with cache-hit/miss accounting;
 * :class:`ExchangeEngine` wraps a compiled setting and exposes the whole
-  pipeline — consistency, chase, certain answers, batched certain answers —
-  as methods returning a uniform :class:`EngineResult`.
+  pipeline — consistency, chase, certain answers, and order-preserving
+  batches of them — as methods returning a uniform :class:`EngineResult`.
 
 The functional API in :mod:`repro.exchange` remains supported; the engine
 delegates to it while handing over the compiled fast path.
 """
 
 from .compiled import CompiledSetting, compile_setting
-from .engine import BATCH_EXECUTORS, EngineResult, ExchangeEngine
+from .engine import EngineResult, ExchangeEngine
 from .stats import CacheStats, EngineStats
 
-__all__ = ["BATCH_EXECUTORS", "CacheStats", "CompiledSetting",
-           "compile_setting", "EngineResult", "EngineStats",
-           "ExchangeEngine"]
+__all__ = ["CacheStats", "CompiledSetting", "compile_setting",
+           "EngineResult", "EngineStats", "ExchangeEngine"]

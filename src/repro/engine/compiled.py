@@ -129,14 +129,13 @@ class CompiledSetting:
         self._rule_baseline = self._rule_counts()
 
     # ------------------------------------------------------------------ #
-    # Pickling (process-parallel batch execution)
+    # Pickling (the shard-host pipe and the corpus store)
     # ------------------------------------------------------------------ #
 
     def __getstate__(self) -> dict:
         """Everything but the lock travels: a compiled setting shipped to a
-        worker process arrives warm (NFAs, analyses, verdicts, memo tables)
-        and never recompiles, which is what makes process-parallel batches
-        profitable."""
+        shard-host worker or restored from a corpus store arrives warm
+        (NFAs, analyses, verdicts, memo tables) and never recompiles."""
         state = self.__dict__.copy()
         del state["_lock"]
         return state
@@ -164,7 +163,7 @@ class CompiledSetting:
 
         The first request for a query fingerprint compiles the plan
         (``plan_cache_misses``); every later evaluation of the same query on
-        this setting — and on every process-pool worker it was shipped to
+        this setting — and in every process it is unpickled into
         afterwards — reuses it (``plan_cache_hits``)."""
         return self.plan_cache.get(query)
 

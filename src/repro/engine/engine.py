@@ -1,4 +1,4 @@
-"""The batch-first facade over the whole exchange pipeline.
+"""The compiled, cached facade over the whole exchange pipeline.
 
 :class:`ExchangeEngine` owns a :class:`~repro.engine.compiled.CompiledSetting`
 and exposes every pipeline stage as a method returning a uniform
@@ -7,13 +7,11 @@ timing and a cache-stats snapshot — instead of the four unrelated result
 dataclasses of the functional API (which remains available and is what the
 engine delegates to, handing it the compiled fast path).
 
-Per-tree work (``solve``, ``certain_answers``) is embarrassingly parallel
-across trees once the setting is compiled; the ``*_batch`` methods fan it
-out over a ``concurrent.futures`` pool.  ``executor="thread"`` shares the
-compiled setting in-process (cheap, but chase/query work is GIL-bound);
-``executor="process"`` pickles the compiled setting once per worker — it
-arrives warm, so workers never recompile — and escapes the GIL for
-CPU-bound batches.
+Per-tree work (``solve``, ``certain_answers``) is independent across trees
+once the setting is compiled; the ``*_batch`` methods are order-preserving
+loops over the per-tree calls.  Spreading requests over processes is the
+serving layer's job: :class:`~repro.service.host.ShardHost` keeps compiled
+settings warm in long-lived worker processes.
 
 On top of the compiled-setting caches the engine keeps a **result cache**
 keyed by ``(tree_fingerprint, query_fingerprint, variable_order)``: repeated
@@ -49,10 +47,9 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..exchange.certain_answers import CertainAnswers, certain_answers
 from ..exchange.chase import ChaseResult, canonical_solution
@@ -78,9 +75,6 @@ TreeRef = Union[XMLTree, str]
 
 #: Strategy names accepted by :meth:`ExchangeEngine.check_consistency`.
 CONSISTENCY_STRATEGIES = ("auto", "nested_relational", "general")
-
-#: Executor names accepted by the ``*_batch`` methods.
-BATCH_EXECUTORS = ("serial", "thread", "process")
 
 
 @dataclass
@@ -142,7 +136,7 @@ class ExchangeEngine:
         engine.check_consistency().payload        # True / False
         engine.solve(tree).payload                # canonical solution tree
         engine.certain_answers(tree, query).payload
-        engine.certain_answers_batch(trees, query, parallel=4)
+        engine.certain_answers_batch(trees, query)
     """
 
     def __init__(self, compiled: Union[CompiledSetting, DataExchangeSetting],
@@ -176,8 +170,9 @@ class ExchangeEngine:
         self._store_trees: "OrderedDict[str, XMLTree]" = OrderedDict()
         self._store_tree_maxsize = 64
         # Guards the result cache, its counters and the request counter
-        # against thread-pool batches; computation happens outside the lock
-        # (two threads racing past the lookup may both compute — the
+        # against concurrent requests (the service's thread executor serves
+        # one shard from many threads); computation happens outside the
+        # lock (two threads racing past the lookup may both compute — the
         # counters then truthfully report two misses).
         self._lock = threading.Lock()
 
@@ -439,151 +434,38 @@ class ExchangeEngine:
     # Batch operations
     # ------------------------------------------------------------------ #
 
-    def solve_batch(self, source_trees: Sequence[TreeRef],
-                    parallel: Optional[int] = None,
-                    executor: str = "thread") -> List[EngineResult]:
+    def solve_batch(self, source_trees: Sequence[TreeRef]
+                    ) -> List[EngineResult]:
         """Canonical solutions for many source trees (order-preserving).
 
-        Items may be inline trees or stored-document fingerprints.
-        ``executor`` is ``"thread"`` (default), ``"process"`` or
-        ``"serial"``; see :meth:`certain_answers_batch`."""
-        trees = [self.resolve_tree(tree) for tree in source_trees]
-        return self._map_batch("solve", self.solve, trees,
-                               parallel, executor)
+        Items may be inline trees or stored-document fingerprints; each is
+        served by :meth:`solve`."""
+        return [self.solve(tree) for tree in source_trees]
 
     def certain_answers_batch(self, source_trees: Sequence[TreeRef],
-                              queries: Union[Query, Sequence[Query]],
-                              parallel: Optional[int] = None,
-                              executor: str = "thread") -> List[EngineResult]:
+                              queries: Union[Query, Sequence[Query]]
+                              ) -> List[EngineResult]:
         """``certain(Q_i, T_i)`` for many trees (order-preserving).
 
         ``queries`` is either a single query evaluated against every tree or
-        a sequence paired elementwise with ``source_trees``.  ``parallel=N``
-        fans the per-tree work out over ``N`` workers:
-
-        * ``executor="thread"`` — a thread pool sharing the compiled setting
-          read-only (each request gets its own null factory); cheap to start
-          but GIL-bound for CPU-heavy chases;
-        * ``executor="process"`` — a process pool; the compiled setting is
-          pickled once per worker (arriving warm, so workers never
-          recompile) and per-tree work runs on separate cores.  Errors
-          raised by a worker propagate to the caller exactly as in the
-          serial path;
-        * ``executor="serial"`` — force in-line execution regardless of
-          ``parallel``.
-
-        All three executors consult (and fill) the engine's result cache in
-        the parent, and payloads are identical across executors.  The serial
-        and process paths never dispatch a fingerprint-identical request
-        twice (the process path collapses in-batch duplicates onto one
-        task); the thread path consults the cache per request, so
-        *concurrent* duplicates racing past the lookup may occasionally
-        compute in parallel — counters then truthfully report extra misses.
-        """
-        trees = [self.resolve_tree(tree) for tree in source_trees]
+        a sequence paired elementwise with ``source_trees``.  Each pair is
+        served by :meth:`certain_answers`, so a fingerprint-identical
+        repeat within the batch is a result-cache hit."""
+        trees = list(source_trees)
         if isinstance(queries, Query):
-            pairs = [(tree, queries) for tree in trees]
+            query_list = [queries] * len(trees)
         else:
             query_list = list(queries)
             if len(query_list) != len(trees):
                 raise ValueError(
                     f"{len(trees)} source tree(s) but {len(query_list)} "
                     "query/queries; pass one query or exactly one per tree")
-            pairs = list(zip(trees, query_list))
-        return self._map_batch("certain_answers",
-                               lambda pair: self.certain_answers(*pair),
-                               pairs, parallel, executor)
+        return [self.certain_answers(tree, query)
+                for tree, query in zip(trees, query_list)]
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-
-    def _map_batch(self, operation_name: str,
-                   operation: Callable[[Any], EngineResult],
-                   items: List[Any], parallel: Optional[int], executor: str
-                   ) -> List[EngineResult]:
-        if executor not in BATCH_EXECUTORS:
-            raise ValueError(f"unknown batch executor {executor!r}; "
-                             f"expected one of {', '.join(BATCH_EXECUTORS)}")
-        workers = min(parallel or 1, len(items))
-        if executor == "process" and workers > 1:
-            return self._map_process(operation_name, items, workers)
-        if executor == "thread" and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(operation, items))
-        return [operation(item) for item in items]
-
-    def _map_process(self, operation_name: str, items: List[Any],
-                     workers: int) -> List[EngineResult]:
-        """Fan per-tree work out over a process pool.
-
-        The result cache is consulted in the parent first, and duplicates
-        *within* the batch are collapsed onto one task, so no fingerprint-
-        identical request is ever dispatched twice — cached and deduplicated
-        occurrences count as hits, exactly like the serial path.  Worker
-        outcomes are stored back into the cache, and every returned result
-        carries the parent's merged cache snapshot (the same view the other
-        executors report).
-        """
-        results: List[Optional[EngineResult]] = [None] * len(items)
-        tasks: List[Tuple[str, Any]] = []
-        #: result index -> position in ``tasks`` serving it.
-        served_by: List[Tuple[int, int]] = []
-        task_keys: List[Optional[Tuple]] = []
-        task_of_key: Dict[Tuple, int] = {}
-        for index, item in enumerate(items):
-            key = None
-            if operation_name == "certain_answers":
-                tree, query = item
-                key = self._result_key(tree, query, None)
-                if key is not None:
-                    with self._lock:
-                        cached = self._results.get(key)
-                        if cached is not None:
-                            self._results.move_to_end(key)
-                            self._engine_stats.hit("result_cache")
-                        elif key in task_of_key:
-                            self._engine_stats.hit("result_cache")
-                        else:
-                            self._engine_stats.miss("result_cache")
-                    if cached is not None:
-                        with obs_timer("engine.certain_answers") as clock:
-                            results[index] = self._certain_result(cached,
-                                                                  clock)
-                        continue
-                    pending = task_of_key.get(key)
-                    if pending is not None:
-                        # A fingerprint-identical request is already in this
-                        # batch: share its task (and future cache entry).
-                        served_by.append((index, pending))
-                        continue
-                    task_of_key[key] = len(tasks)
-            task_keys.append(key)
-            served_by.append((index, len(tasks)))
-            tasks.append((operation_name, item))
-        if tasks:
-            with ProcessPoolExecutor(
-                    max_workers=min(workers, len(tasks)),
-                    initializer=_process_worker_init,
-                    initargs=(self.compiled,)) as pool:
-                worker_results = list(pool.map(_process_worker_run, tasks))
-            for position, result in enumerate(worker_results):
-                key = task_keys[position]
-                if key is not None:
-                    self._cache_store(key, result.raw)
-            for index, position in served_by:
-                result = worker_results[position]
-                with self._lock:
-                    self.requests += 1
-                results[index] = result
-            # One snapshot after the whole batch: the merged parent view
-            # every other executor's results carry (worker-local snapshots
-            # lack the engine-level counters).
-            snapshot = self.stats
-            for result in worker_results:
-                result.cache = snapshot
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
 
     def _result(self, ok: bool, payload: Any, strategy: str, clock: Any,
                 detail: str = "", raw: Any = None) -> EngineResult:
@@ -598,45 +480,3 @@ class ExchangeEngine:
     def __repr__(self) -> str:
         return f"<ExchangeEngine {self.compiled!r} requests={self.requests}>"
 
-
-# --------------------------------------------------------------------- #
-# Process-pool workers
-# --------------------------------------------------------------------- #
-#
-# The compiled setting travels to each worker exactly once (through the pool
-# initializer, which pickles ``initargs`` per worker); tasks then only carry
-# the per-tree payload.  Workers rebuild plain EngineResults so the parent
-# can merge them with cache-served results order-preservingly.  Exceptions
-# raised here (ChaseError, precondition ValueErrors, ...) propagate through
-# ``pool.map`` to the caller unchanged.
-
-_WORKER_COMPILED: Optional[CompiledSetting] = None
-
-
-def _process_worker_init(compiled: CompiledSetting) -> None:
-    global _WORKER_COMPILED
-    _WORKER_COMPILED = compiled
-
-
-def _process_worker_run(task: Tuple[str, Any]) -> EngineResult:
-    compiled = _WORKER_COMPILED
-    assert compiled is not None, "worker used before initialisation"
-    operation_name, item = task
-    if operation_name == "solve":
-        with obs_timer("engine.solve") as clock:
-            outcome = canonical_solution(compiled.setting, item,
-                                         compiled=compiled)
-            return EngineResult(outcome.success, outcome.tree, "chase",
-                                clock.elapsed, compiled.cache_stats(),
-                                outcome.failure or "", outcome)
-    if operation_name == "certain_answers":
-        tree, query = item
-        with obs_timer("engine.certain_answers") as clock:
-            result = certain_answers(compiled.setting, tree, query,
-                                     compiled=compiled)
-            detail = ("" if result.has_solution
-                      else "the source tree has no solution")
-            return EngineResult(result.has_solution, result.answers,
-                                "canonical-solution", clock.elapsed,
-                                compiled.cache_stats(), detail, result)
-    raise ValueError(f"unknown worker operation {operation_name!r}")

@@ -86,10 +86,6 @@ class DataExchangeSetting:
     # Solutions
     # ------------------------------------------------------------------ #
 
-    def check_source(self, tree: XMLTree) -> List[str]:
-        """Violations of ``T ⊨ D_S`` (empty list when the source conforms)."""
-        return self.source_dtd.conformance_violations(tree)
-
     def solution_report(self, source_tree: XMLTree, candidate: XMLTree,
                         ordered: Optional[bool] = None) -> SolutionReport:
         """Detailed check of whether ``candidate`` is a solution for

@@ -23,7 +23,7 @@ it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union as TUnion
+from typing import Dict, Iterator, List, Optional, Tuple, Union as TUnion
 
 
 __all__ = [
@@ -65,9 +65,6 @@ class AttributeFormula:
             if isinstance(term, Variable) and term not in seen:
                 seen.append(term)
         return seen
-
-    def attribute_names(self) -> Set[str]:
-        return {name for name, _ in self.assignments}
 
     def is_wildcard(self) -> bool:
         return self.label == WILDCARD

@@ -93,7 +93,8 @@ def _maybe_verify(plan: Any) -> Any:
 
     Verification happens exactly once, at compile time: the ``verified``
     stamp travels through pickle with the plan, so compiled settings
-    shipped to process-pool workers are **not** re-verified on unpickle.
+    unpickled elsewhere (a shard-host worker, a store restore) are **not**
+    re-verified.
     """
     if _verify_enabled():
         from ..analysis import plancheck
@@ -633,9 +634,9 @@ class PatternPlan:
         self._bind_cache: "weakref.WeakKeyDictionary[FrozenTree, Tuple[tuple, ...]]" = \
             weakref.WeakKeyDictionary()
 
-    # Pickling (plans travel to process-pool workers inside compiled
-    # settings): the per-tree bind cache is request-local state — it stays
-    # behind and the worker starts with an empty one.
+    # Pickling (plans travel inside compiled settings, to shard-host
+    # workers and into the store): the per-tree bind cache is request-local
+    # state — it stays behind and the receiver starts with an empty one.
     def __getstate__(self) -> Dict[str, Any]:
         return {name: getattr(self, name) for name in self.__slots__
                 if name != "_bind_cache"}
@@ -1032,8 +1033,9 @@ class PlanCache:
         with self._lock:
             self._plans.clear()
 
-    # Pickling (compiled settings travel to process-pool workers): the lock
-    # stays behind; cached plans travel, so workers arrive plan-warm.
+    # Pickling (compiled settings travel to shard-host workers and into the
+    # store): the lock stays behind; cached plans travel, so the receiver
+    # arrives plan-warm.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]

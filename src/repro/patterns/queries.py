@@ -76,9 +76,6 @@ class Query:
     def uses_descendant(self) -> bool:
         return any(p.uses_descendant() for p in self.patterns())
 
-    def uses_union(self) -> bool:
-        return isinstance(self, UnionQuery) and len(self.members) > 1
-
     def fingerprint(self) -> str:
         """A content fingerprint of the query: the SHA-256 digest of its
         class name and canonical string rendering (which is deterministic for

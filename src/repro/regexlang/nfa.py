@@ -122,9 +122,6 @@ class DFA:
                 return False
         return any(s in self.accepting_nfa_states for s in current)
 
-    def is_accepting_state(self, state: FrozenSet[int]) -> bool:
-        return any(s in self.accepting_nfa_states for s in state)
-
     def step(self, state: FrozenSet[int], symbol: str) -> FrozenSet[int]:
         return self.nfa.step(state, symbol)
 

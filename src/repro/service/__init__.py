@@ -12,9 +12,10 @@ lifetime:
   sub-batches and re-assembles results in submission order;
 * :class:`AsyncExchangeService` — the awaitable facade
   (``await consistency/solve/certain_answers/batch``) running work on a
-  configurable serial/thread/process/host executor without blocking the
-  event loop;
-* :class:`ShardHost` — the multi-process shape behind ``executor="host"``:
+  configurable serial/thread/host executor without blocking the event
+  loop (serial excepted: it runs inline);
+* :class:`ShardHost` — the one multi-process shape, behind
+  ``executor="host"``:
   one long-lived worker process per core, each owning a full registry
   slice (compiled settings, plan caches, result caches stay warm across
   requests), routed by fingerprint over length-prefixed pickle frames,

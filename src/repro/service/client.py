@@ -42,7 +42,6 @@ from ..xmlmodel.values import Value
 from .protocol import (ServerError, decode_line, encode_line,
                        error_from_wire, setting_to_wire, tree_from_wire,
                        tree_to_wire, value_from_wire)
-from .registry import SettingRegistry
 
 __all__ = ["ServiceClient", "ServerError", "main"]
 
@@ -187,7 +186,7 @@ class ServiceClient:
     def ping(self) -> bool:
         return bool(self.request({"op": "ping"}).get("pong"))
 
-    def register(self, setting: DataExchangeSetting, *legacy: bool,
+    def register(self, setting: DataExchangeSetting, *,
                  prewarm: bool = False, persist: bool = False) -> str:
         """Register a setting; returns its fingerprint (the routing key).
 
@@ -200,7 +199,6 @@ class ServiceClient:
         replying* and pickle the compiled setting into its corpus store,
         so a restarted server restores it plan-warm.
         """
-        prewarm = SettingRegistry._consolidate_register_args(legacy, prewarm)
         message: Dict[str, Any] = {"op": "register",
                                    "setting": setting_to_wire(setting)}
         if prewarm:

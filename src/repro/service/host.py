@@ -1,12 +1,12 @@
 """Multi-process serving: one long-lived shard worker per core.
 
 A :class:`ShardHost` promotes the :class:`~repro.service.shard.Shard`
-boundary from a thread to a **process** boundary.  It spawns ``workers``
-long-lived worker processes (default ``os.cpu_count()``), each owning a
-full :class:`~repro.service.registry.SettingRegistry` slice: compiled
-settings, plan caches and result caches live *in the worker* and stay warm
-across requests — unlike the per-request ``ProcessPoolExecutor`` tasks of
-``executor="process"``, nothing per-setting is ever re-shipped per call.
+boundary from a thread to a **process** boundary; it is the serving
+layer's one multi-process mechanism.  It spawns ``workers`` long-lived
+worker processes (default ``os.cpu_count()``), each owning a full
+:class:`~repro.service.registry.SettingRegistry` slice: compiled settings,
+plan caches and result caches live *in the worker* and stay warm across
+requests — nothing per-setting is ever re-shipped per call.
 
 Routing is by ``DataExchangeSetting.fingerprint()``: the first 16 hex
 digits of the (SHA-256) fingerprint, taken modulo the worker count — a
@@ -246,21 +246,24 @@ class _WorkerHandle:
         """Enqueue ``call`` on this worker; ``False`` if it is already dead
         (the caller re-routes to the replacement handle).
 
-        The frame is encoded *before* the pending map is touched, so an
-        unpicklable payload raises to the caller without leaking an entry.
-        A send that fails because the worker just died leaves the entry
-        pending on purpose: the restart sweep resubmits it.
+        The id is taken under the lock, but the frame is pickled once,
+        outside it and *before* the pending map is touched: an unpicklable
+        payload raises to the caller without leaking an entry (its id is
+        simply never used).  A send that fails because the worker just
+        died leaves the entry pending on purpose: the restart sweep
+        resubmits it.
         """
-        frame = _encode_frame((0, call.op, call.payload, call.ctx))  # probe
         with self.lock:
             if self.dead:
                 return False
             self.next_id += 1
             request_id = self.next_id
+        frame = _encode_frame((request_id, call.op, call.payload, call.ctx))
+        with self.lock:
+            if self.dead:
+                return False
             self.pending[request_id] = call
             self.in_flight.set(len(self.pending))
-            frame = _encode_frame((request_id, call.op, call.payload,
-                                   call.ctx))
             try:
                 self.conn.send_bytes(frame)
             except (OSError, ValueError):
@@ -498,8 +501,7 @@ class ShardHost:
     # ------------------------------------------------------------------ #
 
     def register(self, setting: Union[DataExchangeSetting, CompiledSetting],
-                 *legacy: bool, prewarm: bool = False,
-                 persist: bool = False) -> str:
+                 *, prewarm: bool = False, persist: bool = False) -> str:
         """Admit a setting on its owning worker; returns the fingerprint.
 
         Takes the consolidated keyword set shared with
@@ -514,7 +516,6 @@ class ShardHost:
         so the owning worker, every restart of it, and every future boot
         from this store all start plan-warm.
         """
-        prewarm = SettingRegistry._consolidate_register_args(legacy, prewarm)
         plain = setting.setting if isinstance(setting, CompiledSetting) \
             else setting
         if not isinstance(plain, DataExchangeSetting):

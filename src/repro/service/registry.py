@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import os
 import threading
-import warnings
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -111,13 +110,13 @@ class SettingRegistry:
     # ------------------------------------------------------------------ #
 
     def register(self, setting: Union[DataExchangeSetting, CompiledSetting],
-                 *legacy: bool, prewarm: bool = False,
-                 persist: bool = False) -> str:
+                 *, prewarm: bool = False, persist: bool = False) -> str:
         """Admit a setting and return its fingerprint (the routing key).
 
         This is the one registration signature of the whole serving stack
         — :class:`SettingRegistry`, ``AsyncExchangeService``,
-        ``ServiceClient`` and ``ShardHost`` all take the same keyword set:
+        ``ServiceClient`` and ``ShardHost`` all take the same keyword-only
+        flags:
 
         ``prewarm=True`` compiles the setting before returning (counted
         under ``prewarm_*``, not as a ``compiled_miss``), so its first
@@ -129,11 +128,7 @@ class SettingRegistry:
         process restored from the store boots plan-warm.
         Re-registering an identical setting is a no-op (and is never
         rejected by the registration quota).
-
-        The pre-keyword form ``register(setting, True)`` still works but
-        is deprecated; spell it ``register(setting, prewarm=True)``.
         """
-        prewarm = self._consolidate_register_args(legacy, prewarm)
         compiled: Optional[CompiledSetting] = None
         if isinstance(setting, CompiledSetting):
             compiled, setting = setting, setting.setting
@@ -170,25 +165,6 @@ class SettingRegistry:
         elif prewarm:
             self.prewarm(fingerprint)
         return fingerprint
-
-    @staticmethod
-    def _consolidate_register_args(legacy: Tuple[bool, ...],
-                                   prewarm: bool) -> bool:
-        """Map the deprecated positional ``register(setting, True)`` form
-        onto the consolidated keyword set (shared by every layer)."""
-        if not legacy:
-            return prewarm
-        if len(legacy) > 1:
-            raise TypeError(f"register() takes one setting argument "
-                            f"({1 + len(legacy)} positional given); "
-                            f"prewarm/persist are keyword-only")
-        warnings.warn(
-            "register(setting, prewarm) with a positional prewarm flag is "
-            "deprecated; use register(setting, prewarm=...) — the keyword "
-            "set shared by SettingRegistry, AsyncExchangeService, "
-            "ServiceClient and ShardHost",
-            DeprecationWarning, stacklevel=3)
-        return bool(legacy[0])
 
     def restore_from_store(self) -> List[str]:
         """Register every setting persisted in the attached store, each
@@ -337,7 +313,6 @@ class SettingRegistry:
             while len(self._shards) > self.max_compiled:
                 _, evicted = self._shards.popitem(last=False)
                 self._retire_plan_counters(evicted)
-                evicted.close(wait=False)
                 self._stats.evict("compiled")
         return shard
 
@@ -435,11 +410,9 @@ class SettingRegistry:
         return {fingerprint: shard.stats() for fingerprint, shard in shards}
 
     def close(self) -> None:
-        """Shut down every shard's worker pool (settings stay registered)."""
-        with self._lock:
-            shards = list(self._shards.values())
-        for shard in shards:
-            shard.close()
+        """A no-op: shards compute inline and hold nothing to release, and
+        the attached store is left open.  Kept so owners (the service, the
+        shard-host worker) can pair construction with ``close()``."""
 
     def __repr__(self) -> str:
         return (f"<SettingRegistry settings={len(self._settings)} "

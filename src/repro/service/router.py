@@ -17,7 +17,6 @@ request that raised it.
 from __future__ import annotations
 
 from collections import OrderedDict
-from concurrent.futures import Executor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..engine import EngineResult
@@ -42,10 +41,9 @@ class Router:
         """The shard owning the request's fingerprint (compiling lazily)."""
         return self.registry.shard(request.fingerprint)
 
-    def execute(self, request: ExchangeRequest,
-                process_parallel: Optional[int] = None) -> EngineResult:
+    def execute(self, request: ExchangeRequest) -> EngineResult:
         """Serve one request synchronously; exceptions propagate unchanged."""
-        return self.shard_for(request).execute(request, process_parallel)
+        return self.shard_for(request).execute(request)
 
     # ------------------------------------------------------------------ #
     # Batches
@@ -79,7 +77,6 @@ class Router:
 
     def execute_group(self, fingerprint: str,
                       group: Sequence[Tuple[int, ExchangeRequest]],
-                      process_parallel: Optional[int] = None,
                       on_done: Optional[
                           Callable[[int, ExchangeRequest], None]] = None
                       ) -> List[ServiceResult]:
@@ -103,7 +100,7 @@ class Router:
         results = []
         for index, request in group:
             try:
-                outcome = shard.execute(request, process_parallel)
+                outcome = shard.execute(request)
             except Exception as error:
                 results.append(ServiceResult(index, fingerprint, error=error))
             else:
@@ -114,28 +111,16 @@ class Router:
                     on_done(index, request)
         return results
 
-    def execute_batch(self, requests: Sequence[ExchangeRequest],
-                      pool: Optional[Executor] = None,
-                      process_parallel: Optional[int] = None
+    def execute_batch(self, requests: Sequence[ExchangeRequest]
                       ) -> List[ServiceResult]:
         """Serve a mixed-setting batch, re-assembled in submission order.
 
-        ``pool`` (any ``concurrent.futures`` executor) runs the per-shard
-        sub-batches concurrently; without it they run sequentially in
-        first-appearance order.  Either way each slot of the returned list
-        corresponds to the request at the same position, with failures
-        captured per slot.
+        The per-shard sub-batches run one after another in first-appearance
+        order; each slot of the returned list corresponds to the request at
+        the same position, with failures captured per slot.
         """
-        groups = self.partition(requests)
-        if pool is not None and len(groups) > 1:
-            futures = [pool.submit(self.execute_group, fingerprint, group,
-                                   process_parallel)
-                       for fingerprint, group in groups.items()]
-            outcomes = [future.result() for future in futures]
-        else:
-            outcomes = [self.execute_group(fingerprint, group,
-                                           process_parallel)
-                        for fingerprint, group in groups.items()]
+        outcomes = [self.execute_group(fingerprint, group)
+                    for fingerprint, group in self.partition(requests).items()]
         return self.reassemble(outcomes, len(requests))
 
     @staticmethod

@@ -24,16 +24,18 @@ on-disk store).
 ``listening on HOST:PORT`` on stdout once it accepts connections, which is
 what the client helper's ``--smoke`` mode (and CI) wait for.
 
-**Multi-process serving**: ``--workers N`` selects the ``host`` executor —
-``N`` long-lived worker processes (default ``os.cpu_count()`` with
-``--executor host`` alone), each owning the compiled settings, plan caches
-and result caches of the fingerprints routed to it by
-``DataExchangeSetting.fingerprint()``.  Workers stay warm across requests
-(nothing per-setting is re-pickled per call, unlike ``--executor
-process``), escape the GIL on multi-core machines, and are restarted and
-re-registered transparently if they crash (``worker_restarts`` under
-``stats()["host"]``).  This is the production shape for heavy multi-core
-traffic; ``--executor thread`` remains the single-process default.
+**Executors**: ``--executor`` is ``serial`` (inline on the event loop),
+``thread`` (the default) or ``host``.  ``--workers N`` selects the
+``host`` executor — ``N`` long-lived worker processes (default
+``os.cpu_count()`` with ``--executor host`` alone), each owning the
+compiled settings, plan caches and result caches of the fingerprints
+routed to it by ``DataExchangeSetting.fingerprint()``.  Workers stay warm
+across requests (nothing per-setting is re-pickled per call), escape the
+GIL on multi-core machines, and are restarted and re-registered
+transparently if they crash (``worker_restarts`` under
+``stats()["host"]``).  The host is the one multi-process shape;
+``--executor thread`` remains the single-process default, and the only
+executor that overlaps slow and fast requests for the same setting.
 
 **Connections are pipelined**: every request line starts its own asyncio
 task the moment it is read, and replies are written as the requests

@@ -33,11 +33,9 @@ Executors
 ``executor="thread"`` (default)
     Requests run on a shared thread pool via ``run_in_executor`` — the loop
     never blocks; pipeline work is GIL-bound but routing, caching and I/O
-    overlap fully.
-``executor="process"``
-    Requests are *coordinated* on the thread pool but per-tree work runs on
-    the owning shard's process pool (compiled setting shipped once per
-    worker), escaping the GIL on multi-core machines.
+    overlap fully.  It is the only executor that overlaps requests for the
+    *same* setting: a slow solve does not hold up fast requests queued
+    behind it on that fingerprint.
 ``executor="serial"``
     Everything runs inline on the loop thread — deterministic and
     dependency-free, for tests and debugging; the loop *does* block while a
@@ -46,9 +44,9 @@ Executors
     Requests are forwarded to a :class:`~repro.service.host.ShardHost` —
     ``workers`` long-lived worker processes (default ``os.cpu_count()``),
     each owning the compiled settings, plan caches and result caches of the
-    fingerprints routed to it.  Unlike ``"process"``, nothing per-setting is
-    re-pickled per call: workers stay warm across requests, and a crashed
-    worker is restarted and re-registered transparently (counted as
+    fingerprints routed to it.  Nothing per-setting is re-pickled per
+    call: workers stay warm across requests, and a crashed worker is
+    restarted and re-registered transparently (counted as
     ``worker_restarts`` in ``stats()["host"]``).  The thread pool merely
     coordinates pipe round-trips; quota admission stays loop-side in the
     local registry, which never compiles in this mode.
@@ -84,7 +82,7 @@ from .router import Router
 __all__ = ["AsyncExchangeService", "SERVICE_EXECUTORS"]
 
 #: Executor names accepted by :class:`AsyncExchangeService`.
-SERVICE_EXECUTORS = ("serial", "thread", "process", "host")
+SERVICE_EXECUTORS = ("serial", "thread", "host")
 
 _T = TypeVar("_T")
 
@@ -143,9 +141,6 @@ class AsyncExchangeService:
         self.router = Router(registry)
         self.executor = executor
         self.parallel = parallel
-        #: Per-tree work is sent to the owning shard's process pool only in
-        #: process mode; the thread pool then merely coordinates.
-        self._process_parallel = parallel if executor == "process" else None
         self._host: Optional[ShardHost] = None
         if executor == "host":
             # Worker registries mirror the local registry's cache bounds;
@@ -175,8 +170,7 @@ class AsyncExchangeService:
     # ------------------------------------------------------------------ #
 
     def register(self, setting: Union[DataExchangeSetting, CompiledSetting],
-                 *legacy: bool, prewarm: bool = False,
-                 persist: bool = False) -> str:
+                 *, prewarm: bool = False, persist: bool = False) -> str:
         """Admit a setting; returns its fingerprint (the routing key).
 
         Synchronous on purpose: admission only fingerprints and stores the
@@ -193,7 +187,6 @@ class AsyncExchangeService:
         routing keys — it never compiles); the setting is then forwarded to
         its owning worker process, which compiles on ``prewarm=True``.
         """
-        prewarm = SettingRegistry._consolidate_register_args(legacy, prewarm)
         if self._host is None:
             return self.registry.register(setting, prewarm=prewarm,
                                           persist=persist)
@@ -260,8 +253,7 @@ class AsyncExchangeService:
                     return await self._traced_offload(
                         partial(self._host.execute, request))
                 return await self._traced_offload(
-                    partial(self.router.execute, request,
-                            process_parallel=self._process_parallel))
+                    partial(self.router.execute, request))
             finally:
                 self.registry.quota_release(request.fingerprint)
 
@@ -347,9 +339,7 @@ class AsyncExchangeService:
                     group_runs = [
                         self._traced_offload(
                             partial(self.router.execute_group,
-                                    fingerprint, group,
-                                    process_parallel=self._process_parallel,
-                                    on_done=release))
+                                    fingerprint, group, on_done=release))
                         for fingerprint, group in groups.items()]
                 outcomes = list(await asyncio.gather(*group_runs))
         finally:

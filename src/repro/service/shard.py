@@ -7,29 +7,18 @@ its shard, so the engine's compiled-setting caches and its bounded result
 cache are **per setting by construction** — one tenant's traffic can warm,
 fill or evict only its own shard's entries.
 
-Per-tree work can optionally run on a shard-owned process pool: the
-(picklable) compiled setting ships to each worker once through the pool
-initializer, so workers start warm and tasks only carry the per-tree
-payload.  Setting-level operations (consistency, classification) are always
-answered by the parent's compiled setting — they are cached after the first
-call and not worth a round-trip.  The parent keeps sole ownership of the
-result cache: it is consulted before dispatching to a worker and updated
-with the worker's outcome, so cache counters and eviction behaviour are
-identical across inline and process execution.
+Every request runs inline on the caller's thread, straight through the
+engine.  Spreading settings over processes happens one level up, in
+:class:`~repro.service.host.ShardHost`, whose workers each own a registry
+of shards.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict
 
 from ..engine import EngineResult, ExchangeEngine
-from ..engine.compiled import CompiledSetting
-from ..exchange.certain_answers import certain_answers
-from ..exchange.chase import canonical_solution
-from ..obs.trace import span as obs_span, timer as obs_timer
 from .requests import ExchangeRequest
 
 __all__ = ["Shard"]
@@ -48,27 +37,16 @@ class Shard:
         self.prewarmed = prewarmed
         self.requests = 0
         self.errors = 0
-        #: Process pools discarded after a worker died mid-task (see
-        #: ``_run_task``); the next request builds a fresh pool.
-        self.pool_restarts = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_closed = False
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
 
-    def execute(self, request: ExchangeRequest,
-                process_parallel: Optional[int] = None) -> EngineResult:
-        """Serve one request on this shard.
-
-        ``process_parallel=N`` moves per-tree work (``solve``,
-        ``certain_answers``) onto the shard's ``N``-worker process pool;
-        by default everything runs inline on the caller's thread.
-        Exceptions (``ChaseError``, precondition ``ValueError``\\ s, ...)
-        propagate unchanged either way.
-        """
+    def execute(self, request: ExchangeRequest) -> EngineResult:
+        """Serve one request on this shard's engine; exceptions
+        (``ChaseError``, precondition ``ValueError``\\ s, ...) propagate
+        unchanged."""
         if request.fingerprint != self.fingerprint:
             raise ValueError(
                 f"request for setting {request.fingerprint[:12]}… routed to "
@@ -81,109 +59,20 @@ class Shard:
             if request.op == "classify":
                 return self.engine.classify()
             if request.op == "solve":
-                return self._solve(request, process_parallel)
+                return self.engine.solve(request.source)
             if request.op == "certain_answers":
-                return self._certain_answers(request, process_parallel)
+                return self.engine.certain_answers(request.source,
+                                                   request.query,
+                                                   request.variable_order)
             raise ValueError(f"unknown operation {request.op!r}")
         except BaseException:
             with self._lock:
                 self.errors += 1
             raise
 
-    def _solve(self, request: ExchangeRequest,
-               process_parallel: Optional[int]) -> EngineResult:
-        if not process_parallel:
-            return self.engine.solve(request.source)
-        with obs_timer("engine.solve") as clock:
-            # Fingerprint-addressed documents are resolved in the parent
-            # (through the engine's thawed-tree LRU and the store) before
-            # the task ships — pool workers carry no store handle.
-            tree = self.engine.resolve_tree(request.source)
-            outcome = self._run_task(("solve", tree), process_parallel)
-            return self.engine._result(outcome.success, outcome.tree,
-                                       "chase", clock,
-                                       detail=outcome.failure or "",
-                                       raw=outcome)
-
-    def _certain_answers(self, request: ExchangeRequest,
-                         process_parallel: Optional[int]) -> EngineResult:
-        if not process_parallel:
-            return self.engine.certain_answers(request.source, request.query,
-                                               request.variable_order)
-        with obs_timer("engine.certain_answers") as clock:
-            engine = self.engine
-            tree = engine.resolve_tree(request.source)
-            key = engine._result_key(tree, request.query,
-                                     request.variable_order)
-            if key is not None:
-                with obs_span("engine.cache_lookup"):
-                    cached = engine._cache_lookup(key)
-                if cached is not None:
-                    return engine._certain_result(cached, clock)
-            outcome = self._run_task(
-                ("certain_answers",
-                 (tree, request.query, request.variable_order)),
-                process_parallel)
-            if key is not None:
-                engine._cache_store(key, outcome)
-            return engine._certain_result(outcome, clock)
-
     # ------------------------------------------------------------------ #
-    # Worker pool / lifecycle
+    # Introspection
     # ------------------------------------------------------------------ #
-
-    def _run_task(self, task: Tuple[str, Any], workers: int):
-        """Run one per-tree task on the shard's process pool, falling back
-        to inline execution when the pool is (or just became) closed.
-
-        Eviction must be a performance event, never a correctness event: a
-        request that raced a ``close()`` — or arrived on a stale shard
-        reference after eviction — computes in-process instead of failing,
-        and a closed shard never re-creates a pool the registry could no
-        longer reach.
-        """
-        with self._lock:
-            if self._pool is None and not self._pool_closed:
-                # Workers are spawned on demand (and idle ones reused), so
-                # a serially-driven shard only ever forks one process even
-                # with a larger ``workers`` bound; concurrent submissions
-                # from the service's coordinator threads grow it as needed.
-                self._pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_shard_worker_init,
-                    initargs=(self.engine.compiled,))
-            pool = self._pool
-        if pool is not None:
-            try:
-                return pool.submit(_shard_worker_run, task).result()
-            except BrokenProcessPool:
-                # A pool worker died mid-task (segfault, OOM kill, …),
-                # which poisons the whole executor.  Discard it — the next
-                # request builds a fresh pool — and answer this request
-                # inline: a dead worker is a performance event, never a
-                # correctness event (and never a raised BrokenProcessPool).
-                with self._lock:
-                    if self._pool is pool:
-                        self._pool = None
-                        self.pool_restarts += 1
-                pool.shutdown(wait=False)
-            except RuntimeError as error:
-                if "shutdown" not in str(error):
-                    raise
-        return _run_exchange_task(self.engine.compiled, task)
-
-    def close(self, wait: bool = True) -> None:
-        """Shut the shard's worker pool down (idempotent, permanent).
-
-        The shard's engine stays usable — an evicted shard already handed
-        to in-flight requests keeps answering them inline; only its process
-        pool is gone, and it stays gone.
-        """
-        with self._lock:
-            pool, self._pool = self._pool, None
-            self._pool_closed = True
-        if pool is not None:
-            pool.shutdown(wait=wait)
 
     def stats(self) -> Dict[str, Any]:
         """Shard accounting merged with the engine's result-cache view."""
@@ -193,7 +82,6 @@ class Shard:
         return {
             "requests": served,
             "errors": errors,
-            "pool_restarts": self.pool_restarts,
             "prewarmed": self.prewarmed,
             "engine_requests": summary.requests,
             "result_cache_hits": summary.result_cache_hits,
@@ -214,40 +102,3 @@ class Shard:
         return (f"<Shard {self.fingerprint[:12]}… requests={self.requests} "
                 f"errors={self.errors}>")
 
-
-# --------------------------------------------------------------------- #
-# Process-pool workers
-# --------------------------------------------------------------------- #
-#
-# Mirrors the engine's batch workers: the compiled setting arrives once per
-# worker via the initializer; tasks carry only the per-tree payload and
-# return the raw functional-API outcome (picklable), which the parent wraps
-# into an EngineResult and stores into its result cache.  Exceptions raised
-# here propagate through the future to the caller unchanged.
-
-_SHARD_COMPILED: Optional[CompiledSetting] = None
-
-
-def _shard_worker_init(compiled: CompiledSetting) -> None:
-    global _SHARD_COMPILED
-    _SHARD_COMPILED = compiled
-
-
-def _shard_worker_run(task: Tuple[str, Any]):
-    compiled = _SHARD_COMPILED
-    assert compiled is not None, "shard worker used before initialisation"
-    return _run_exchange_task(compiled, task)
-
-
-def _run_exchange_task(compiled: CompiledSetting, task: Tuple[str, Any]):
-    """The per-tree computation itself — shared by the pool workers and the
-    inline fallback, so both paths are identical by construction."""
-    operation, payload = task
-    if operation == "solve":
-        return canonical_solution(compiled.setting, payload,
-                                  compiled=compiled)
-    if operation == "certain_answers":
-        tree, query, variable_order = payload
-        return certain_answers(compiled.setting, tree, query, variable_order,
-                               compiled=compiled)
-    raise ValueError(f"unknown shard worker operation {operation!r}")

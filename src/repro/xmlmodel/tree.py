@@ -424,12 +424,6 @@ class XMLTree:
         clone._fp_cache = dict(self._fp_cache)
         return clone
 
-    def as_unordered(self) -> "XMLTree":
-        """Return a copy of this tree flagged as unordered."""
-        clone = self.copy()
-        clone.ordered = False
-        return clone
-
     def as_ordered(self) -> "XMLTree":
         """Return a copy of this tree flagged as ordered (keeping child lists)."""
         clone = self.copy()

@@ -1,16 +1,15 @@
-"""Executor parity: serial, thread and process batches agree exactly.
+"""Batch parity: a batch equals the per-item calls, in order.
 
-The three executors of ``certain_answers_batch`` / ``solve_batch`` differ
-only in *where* the per-tree work runs; the observable results — success
-flags, answer sets, strategies, details, order — must be identical on the
-same generated batch.  Fresh engines are used per executor so no result
-cache blurs the comparison, plus one shared-engine pass proving the cache
-makes repeated process batches converge with everything else.
+``certain_answers_batch`` / ``solve_batch`` are plain order-preserving
+loops over ``certain_answers`` / ``solve``; the observable results —
+success flags, answer sets, strategies, details, order — must be identical
+to calling the per-tree method once per item on the same generated batch.
+Fresh engines are used per side so no result cache blurs the comparison.
 """
 
 import pytest
 
-from repro import ExchangeEngine, compile_setting
+from repro import ExchangeEngine
 from repro.generators import generate_scenario
 from repro.workloads import library
 
@@ -30,17 +29,14 @@ def test_certain_answers_batch_parity(seed, profile):
     query = scenario.queries[0]
     trees = scenario.source_trees
 
-    serial = ExchangeEngine(scenario.setting).certain_answers_batch(
-        trees, query, executor="serial")
-    threaded = ExchangeEngine(scenario.setting).certain_answers_batch(
-        trees, query, parallel=3, executor="thread")
-    processed = ExchangeEngine(scenario.setting).certain_answers_batch(
-        trees, query, parallel=3, executor="process")
+    batch = ExchangeEngine(scenario.setting).certain_answers_batch(
+        trees, query)
+    engine = ExchangeEngine(scenario.setting)
+    single = [engine.certain_answers(tree, query) for tree in trees]
 
-    assert len(serial) == len(threaded) == len(processed) == len(trees)
-    for one, two, three in zip(serial, threaded, processed):
-        assert _payload_view(one) == _payload_view(two) == _payload_view(three), \
-            scenario.describe()
+    assert len(batch) == len(single) == len(trees)
+    for one, two in zip(batch, single):
+        assert _payload_view(one) == _payload_view(two), scenario.describe()
 
 
 @pytest.mark.parametrize("seed,profile", SWEEP)
@@ -48,12 +44,12 @@ def test_solve_batch_parity(seed, profile):
     scenario = generate_scenario(seed, profile=profile, n_trees=4)
     trees = scenario.source_trees
 
-    serial = ExchangeEngine(scenario.setting).solve_batch(
-        trees, executor="serial")
-    processed = ExchangeEngine(scenario.setting).solve_batch(
-        trees, parallel=3, executor="process")
+    batch = ExchangeEngine(scenario.setting).solve_batch(trees)
+    engine = ExchangeEngine(scenario.setting)
+    single = [engine.solve(tree) for tree in trees]
 
-    for one, two in zip(serial, processed):
+    assert len(batch) == len(single) == len(trees)
+    for one, two in zip(batch, single):
         assert one.ok == two.ok, scenario.describe()
         if one.ok:
             assert one.payload.equals(two.payload), scenario.describe()
@@ -61,87 +57,38 @@ def test_solve_batch_parity(seed, profile):
             assert one.detail == two.detail, scenario.describe()
 
 
-def test_elementwise_queries_keep_order_across_executors():
+def test_elementwise_queries_keep_order():
     scenario = generate_scenario(404, n_trees=3, n_queries=3)
     trees = scenario.source_trees
     queries = scenario.queries
-    serial = ExchangeEngine(scenario.setting).certain_answers_batch(
-        trees, queries, executor="serial")
-    processed = ExchangeEngine(scenario.setting).certain_answers_batch(
-        trees, queries, parallel=2, executor="process")
-    for one, two in zip(serial, processed):
-        assert _payload_view(one) == _payload_view(two)
+    batch = ExchangeEngine(scenario.setting).certain_answers_batch(
+        trees, queries)
+    engine = ExchangeEngine(scenario.setting)
+    single = [engine.certain_answers(tree, query)
+              for tree, query in zip(trees, queries)]
+    assert [_payload_view(r) for r in batch] == \
+        [_payload_view(r) for r in single]
 
 
-def test_process_batch_fills_the_parent_result_cache():
-    engine = ExchangeEngine(library.library_setting())
-    trees = [library.generate_source(6, seed=s) for s in range(4)]
-    query = library.query_writer_of("Book-0")
-
-    first = engine.certain_answers_batch(trees, query, parallel=2,
-                                         executor="process")
-    assert engine.stats["result_cache_misses"] == len(trees)
-    assert engine.stats["result_cache_hits"] == 0
-
-    # Second batch — any executor — is served from the parent cache.
-    second = engine.certain_answers_batch(trees, query, parallel=2,
-                                          executor="process")
-    assert engine.stats["result_cache_hits"] == len(trees)
-    third = engine.certain_answers_batch(trees, query, executor="serial")
-    assert engine.stats["result_cache_hits"] == 2 * len(trees)
-    for one, two, three in zip(first, second, third):
-        assert _payload_view(one) == _payload_view(two) == _payload_view(three)
-
-
-def test_repeated_trees_within_one_process_batch_dispatch_once():
+def test_repeated_trees_within_one_batch_compute_once():
     engine = ExchangeEngine(library.library_setting())
     tree = library.generate_source(5, seed=9)
     query = library.query_writer_of("Book-0")
-    results = engine.certain_answers_batch([tree, tree, tree], query,
-                                           parallel=2, executor="process")
+    results = engine.certain_answers_batch([tree, tree, tree], query)
     assert all(_payload_view(r) == _payload_view(results[0]) for r in results)
-    # Duplicates collapse onto one task — identical counters to the serial
-    # path on the same input: one miss, two hits.
+    # The first occurrence computes; the repeats are result-cache hits.
     assert engine.stats["result_cache_misses"] == 1
     assert engine.stats["result_cache_hits"] == 2
-    serial_engine = ExchangeEngine(library.library_setting())
-    serial_engine.certain_answers_batch([tree, tree, tree], query,
-                                        executor="serial")
-    assert (serial_engine.stats["result_cache_misses"],
-            serial_engine.stats["result_cache_hits"]) == (1, 2)
 
 
-def test_process_results_carry_the_parent_cache_snapshot():
-    """Every EngineResult — whichever executor produced it — exposes the
-    result_cache_* counters the engine docstring promises."""
+def test_batch_methods_take_no_executor():
+    """The batch methods are plain loops: no executor, no worker count."""
     engine = ExchangeEngine(library.library_setting())
-    trees = [library.generate_source(4, seed=s) for s in range(3)]
+    tree = library.figure_1_source()
     query = library.query_writer_of("Book-0")
-    results = engine.certain_answers_batch(trees, query, parallel=2,
-                                           executor="process")
-    for result in results:
-        assert result.cache["result_cache_misses"] == len(trees)
-        assert result.cache["result_cache_hits"] == 0
-        assert "rule_cache_misses" in result.cache
-
-
-def test_unknown_executor_rejected():
-    engine = ExchangeEngine(library.library_setting())
-    with pytest.raises(ValueError, match="unknown batch executor"):
-        engine.certain_answers_batch([library.figure_1_source()],
-                                     library.query_writer_of("X"),
-                                     parallel=2, executor="gpu")
-
-
-def test_shared_compiled_setting_across_executors():
-    """One compiled setting can serve engines of every executor flavour."""
-    scenario = generate_scenario(77)
-    compiled = compile_setting(scenario.setting)
-    query = scenario.queries[0]
-    results = [
-        ExchangeEngine(compiled).certain_answers_batch(
-            scenario.source_trees, query, parallel=2, executor=name)
-        for name in ("serial", "thread", "process")
-    ]
-    views = [[_payload_view(r) for r in batch] for batch in results]
-    assert views[0] == views[1] == views[2]
+    with pytest.raises(TypeError):
+        engine.certain_answers_batch([tree], query, parallel=2)
+    with pytest.raises(TypeError):
+        engine.certain_answers_batch([tree], query, executor="serial")
+    with pytest.raises(TypeError):
+        engine.solve_batch([tree], parallel=2)

@@ -296,8 +296,7 @@ class TestResultCacheEviction:
         engine = ExchangeEngine(library_setting, result_cache_maxsize=2)
         query = library.query_writer_of("Book-0")
         trees = self._sources(4)
-        engine.certain_answers_batch(trees, query, parallel=2,
-                                     executor="thread")
+        engine.certain_answers_batch(trees, query)
         summary = engine.stats_summary()
         assert summary.result_cache_entries <= 2
         assert summary.result_cache_evictions >= 2
@@ -310,17 +309,15 @@ class TestBatch:
         query = library.query_writer_of("Book-0")
         single = [engine.certain_answers(tree, query).payload
                   for tree in sources]
-        sequential = engine.certain_answers_batch(sources, query)
-        threaded = engine.certain_answers_batch(sources, query, parallel=3)
-        assert [r.payload for r in sequential] == single
-        assert [r.payload for r in threaded] == single
-        assert all(r.ok for r in threaded)
+        batch = engine.certain_answers_batch(sources, query)
+        assert [r.payload for r in batch] == single
+        assert all(r.ok for r in batch)
 
     def test_batch_with_paired_queries(self, library_setting):
         engine = ExchangeEngine(library_setting)
         sources = [library.generate_source(3, seed=s) for s in range(3)]
         queries = [library.query_writer_of(f"Book-{i}") for i in range(3)]
-        results = engine.certain_answers_batch(sources, queries, parallel=2)
+        results = engine.certain_answers_batch(sources, queries)
         for tree, query, result in zip(sources, queries, results):
             assert result.payload == engine.certain_answers(tree, query).payload
 
@@ -335,7 +332,7 @@ class TestBatch:
     def test_solve_batch(self, library_setting):
         engine = ExchangeEngine(library_setting)
         sources = [library.generate_source(3, seed=s) for s in range(4)]
-        results = engine.solve_batch(sources, parallel=2)
+        results = engine.solve_batch(sources)
         assert all(r.ok for r in results)
         for tree, result in zip(sources, results):
             assert library_setting.is_unordered_solution(tree, result.payload)

@@ -11,7 +11,7 @@ Two failure families matter to callers:
 
 Both must behave identically through the functional API, a warm engine, a
 result-cached engine (first *and* repeat calls — the cache must never mask
-or swallow an exception) and every batch executor.
+or swallow an exception) and the batch methods.
 """
 
 import pytest
@@ -100,15 +100,10 @@ class TestNoSolution:
         functional = canonical_solution(clash_setting, clash_tree)
         assert not functional.success and functional.failure == result.detail
 
-    @pytest.mark.parametrize("executor,parallel", [
-        ("serial", None), ("thread", 2), ("process", 2)])
-    def test_batch_executors_report_identically(self, clash_setting,
-                                                clash_tree, executor,
-                                                parallel):
+    def test_batch_reports_identically(self, clash_setting, clash_tree):
         engine = ExchangeEngine(clash_setting)
         results = engine.certain_answers_batch([clash_tree, clash_tree],
-                                               QUERY, parallel=parallel,
-                                               executor=executor)
+                                               QUERY)
         for result in results:
             assert not result.ok
             assert result.detail == "the source tree has no solution"
@@ -140,15 +135,11 @@ class TestChaseError:
         assert summary.result_cache_entries == 0  # exceptions are not cached
         assert summary.result_cache_misses == 2   # ... and each retry recomputes
 
-    @pytest.mark.parametrize("executor,parallel", [
-        ("serial", None), ("thread", 2), ("process", 2)])
-    def test_batch_executors_propagate(self, non_univocal_setting,
-                                       three_records, executor, parallel):
+    def test_batch_propagates(self, non_univocal_setting, three_records):
         engine = ExchangeEngine(non_univocal_setting)
         with pytest.raises(ChaseError):
             engine.certain_answers_batch([three_records, three_records],
-                                         R_QUERY, parallel=parallel,
-                                         executor=executor)
+                                         R_QUERY)
 
 
 class TestPreconditionErrors:

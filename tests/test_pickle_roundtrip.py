@@ -1,11 +1,12 @@
-"""Pickle round-trips for everything the process executor ships.
+"""Pickle round-trips for everything the shard-host pipe and the store ship.
 
-``certain_answers_batch(..., executor="process")`` pickles the compiled
-setting once per worker and per-tree payloads per task; results travel back
-as :class:`EngineResult`.  These tests pin down that every object on that
-path survives a round-trip *semantically* — same answers, same structural
-keys, same verdicts — and that an unpickled compiled setting arrives warm
-(no recompilations).
+The shard host pickles compiled settings (``register``, and the replay
+into a restarted worker), requests with their trees and queries, and the
+:class:`EngineResult` replies; the corpus store persists compiled settings
+as pickles.  These tests pin down that every object on those paths
+survives a round-trip *semantically* — same answers, same structural keys,
+same verdicts — and that an unpickled compiled setting arrives warm (no
+recompilations).
 """
 
 import pickle

@@ -1,8 +1,8 @@
 """The plan verifier: every well-formed compiled plan passes, every
 deliberately corrupted op sequence / operator tree is rejected, the
 ``REPRO_PLAN_VERIFY`` compile-time hook stamps ``plan.verified``, and the
-stamp travels through pickle without re-verification (the process-executor
-path pays zero overhead)."""
+stamp travels through pickle without re-verification (plans arriving in
+pickled compiled settings pay zero overhead)."""
 
 import pickle
 

@@ -13,8 +13,9 @@ import threading
 import pytest
 
 from repro import DTD, DataExchangeSetting, ExchangeEngine, std
-from repro.service import (AsyncExchangeService, ExchangeRequest, Router,
-                           SettingRegistry, UnknownSettingError,
+from repro.service import (SERVICE_EXECUTORS, AsyncExchangeService,
+                           ExchangeRequest, Router, SettingRegistry,
+                           UnknownSettingError,
                            certain_answers_request, classify_request,
                            consistency_request, solve_request)
 from repro.workloads import library, nested_relational
@@ -215,23 +216,6 @@ class TestSettingRegistry:
         with pytest.raises(ValueError, match="max_compiled"):
             SettingRegistry(max_compiled=0)
 
-    def test_closed_shard_serves_process_requests_inline(self, library_pair):
-        """Eviction is a performance event, never a correctness event: a
-        stale shard reference whose pool was closed computes inline and
-        never re-creates an unreachable pool."""
-        setting, tree, query = library_pair
-        registry = SettingRegistry()
-        fingerprint = registry.register(setting)
-        shard = registry.shard(fingerprint)
-        shard.close()
-        result = shard.execute(
-            certain_answers_request(fingerprint, tree, query),
-            process_parallel=2)
-        assert result.ok
-        assert result.payload == \
-            ExchangeEngine(setting).certain_answers(tree, query).payload
-        assert shard._pool is None  # closed shards stay pool-less
-
 
 class TestRouter:
     def test_partition_preserves_positions(self, library_pair, company_pair):
@@ -337,25 +321,6 @@ class TestAsyncService:
         # The duplicate request was a result-cache hit on the library shard.
         assert slots[4].result.cache["result_cache_hits"] >= 1
 
-    def test_process_executor_round_trip(self, library_pair):
-        setting, tree, query = library_pair
-
-        async def scenario():
-            async with AsyncExchangeService(executor="process",
-                                            parallel=2) as service:
-                fingerprint = service.register(setting)
-                first = await service.certain_answers(fingerprint, tree,
-                                                      query)
-                second = await service.certain_answers(fingerprint, tree,
-                                                       query)
-                return first, second
-
-        first, second = asyncio.run(scenario())
-        direct = ExchangeEngine(setting)
-        assert first.payload == direct.certain_answers(tree, query).payload
-        # The repeat was served by the parent's result cache, not a worker.
-        assert second.cache["result_cache_hits"] == 1
-
     def test_empty_batch(self, library_setting):
         async def scenario():
             async with AsyncExchangeService() as service:
@@ -376,8 +341,10 @@ class TestAsyncService:
         asyncio.run(scenario())
 
     def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown service executor"):
-            AsyncExchangeService(executor="fiber")
+        assert SERVICE_EXECUTORS == ("serial", "thread", "host")
+        for name in ("fiber", "process"):
+            with pytest.raises(ValueError, match="unknown service executor"):
+                AsyncExchangeService(executor=name)
 
     def test_cache_bounds_with_explicit_registry_rejected(self):
         """Silently dropping the caller's bounds would defeat the knob."""

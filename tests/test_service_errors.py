@@ -66,7 +66,7 @@ def run(coroutine):
 
 class TestAwaitSidePropagation:
     @pytest.mark.parametrize("executor,parallel", [
-        ("serial", 1), ("thread", 2), ("process", 2)])
+        ("serial", 1), ("thread", 2)])
     def test_chase_error_surfaces_unchanged(self, non_univocal_setting,
                                             three_records, executor,
                                             parallel):
@@ -186,7 +186,7 @@ class TestMixedBatchIsolation:
 
         run(scenario())
 
-    def test_process_executor_batch_isolates_failures(
+    def test_host_executor_batch_isolates_failures(
             self, non_univocal_setting, three_records, library_setting):
         """Worker-raised exceptions cross the process boundary into their
         slot only."""
@@ -194,8 +194,8 @@ class TestMixedBatchIsolation:
         ok_query = library.query_writer_of("Book-0")
 
         async def scenario():
-            async with AsyncExchangeService(executor="process",
-                                            parallel=2) as service:
+            async with AsyncExchangeService(executor="host",
+                                            workers=2) as service:
                 bad_fp = service.register(non_univocal_setting)
                 lib_fp = service.register(library_setting)
                 return await service.batch(

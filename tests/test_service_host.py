@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro import ExchangeEngine, compile_setting
-from repro.service import (AsyncExchangeService, ShardHost,
+from repro.service import (AsyncExchangeService, ExchangeRequest, ShardHost,
                            UnknownSettingError, certain_answers_request,
                            classify_request, consistency_request,
                            solve_request)
@@ -145,6 +145,40 @@ class TestRoutingAndParity:
         host.execute(request)
         after = host.stats()["shards"][fingerprint]["result_cache_hits"]
         assert after == before + 1
+
+
+class TestFramePickling:
+    def test_each_request_frame_is_pickled_once(self, host, library_pair,
+                                                monkeypatch):
+        """One encode per request on the supervisor side (the workers were
+        forked before the patch, so only supervisor encodes are
+        counted)."""
+        from repro.service import host as host_module
+        setting, tree, query = library_pair
+        fingerprint = host.register(setting)
+        encoded = []
+        real_encode = host_module._encode_frame
+
+        def counting_encode(obj):
+            encoded.append(obj[1])
+            return real_encode(obj)
+
+        monkeypatch.setattr(host_module, "_encode_frame", counting_encode)
+        result = host.execute(certain_answers_request(fingerprint, tree,
+                                                      query))
+        assert result.ok
+        assert encoded == ["request"]
+
+    def test_unpicklable_payload_raises_and_leaves_nothing_pending(
+            self, host, library_setting):
+        fingerprint = host.register(library_setting)
+        request = ExchangeRequest("consistency", fingerprint,
+                                  strategy=threading.Lock())
+        with pytest.raises(TypeError, match="pickle"):
+            host.execute(request)
+        assert all(not handle.pending for handle in host._handles)
+        assert host.execute(consistency_request(fingerprint)).ok
+        assert host.stats()["worker_restarts"] == 0
 
 
 class TestGroups:

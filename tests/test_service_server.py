@@ -268,10 +268,24 @@ def test_smoke_entry_point_passes():
     assert "SMOKE PASS" in completed.stdout
 
 
+def test_host_executor_smoke_entry_points_pass():
+    """The host legs CI runs: both smoke conversations against a server
+    whose requests execute in ShardHost worker processes."""
+    for mode, banner in (("--smoke", "SMOKE PASS"),
+                         ("--smoke-restart", "RESTART SMOKE PASS")):
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.service.client", mode,
+             "--executor", "host"],
+            capture_output=True, text=True, timeout=180)
+        assert completed.returncode == 0, \
+            completed.stderr + completed.stdout
+        assert banner in completed.stdout
+
+
 class TestWireStore:
     """The fingerprint-first wire surface: ``put_tree``, ``tree_fp`` in
-    place of inline trees, the typed ``UnknownDocumentError`` response, and
-    the client's consolidated ``register`` keywords."""
+    place of inline trees and the typed ``UnknownDocumentError``
+    response."""
 
     def test_put_tree_and_fp_round_trip(self):
         from repro.service.server import serve_in_background
@@ -297,9 +311,6 @@ class TestWireStore:
                 client.solve(fingerprint, "ab" * 32)
             assert info.value.fingerprint == "ab" * 32
             assert client.ping()  # connection survived
-
-            with pytest.warns(DeprecationWarning, match="prewarm="):
-                client.register(setting, True)
             assert client.shutdown()
         join()
 

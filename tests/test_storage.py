@@ -395,6 +395,10 @@ class TestEngineStore:
         expected = [pure.certain_answers(tree, query).payload
                     for tree in trees]
         assert [r.payload for r in results] == expected
+        for solved, tree in zip(engine.solve_batch(mixed), trees):
+            assert solved.ok
+            assert solved.payload.equals(pure.solve(tree).payload,
+                                         respect_order=False)
 
 
 # --------------------------------------------------------------------- #
@@ -487,35 +491,55 @@ class TestRegistryPersistence:
 # --------------------------------------------------------------------- #
 
 class TestRegisterConsolidation:
-    def test_registry_legacy_positional_warns_and_prewarms(
+    """``prewarm``/``persist`` are keyword-only on every register surface:
+    a positional flag is a TypeError and admits nothing, while the keyword
+    form still registers (and prewarms)."""
+
+    def test_registry_positional_flag_raises_and_keyword_prewarms(
             self, library_setting):
         registry = SettingRegistry()
-        with pytest.warns(DeprecationWarning, match="prewarm="):
-            fingerprint = registry.register(library_setting, True)
-        assert registry.stats()["compiled_entries"] == 1
+        with pytest.raises(TypeError):
+            registry.register(library_setting, True)
+        assert len(registry) == 0
+        fingerprint = registry.register(library_setting, prewarm=True)
         assert fingerprint == library_setting.fingerprint()
-        with pytest.raises(TypeError, match="keyword-only"):
-            registry.register(library_setting, True, False)
+        assert registry.stats()["compiled_entries"] == 1
 
-    def test_service_legacy_positional_warns(self, library_setting):
+    def test_service_positional_flag_raises(self, library_setting):
         import asyncio
 
         from repro.service import AsyncExchangeService
 
         async def scenario():
             async with AsyncExchangeService(executor="serial") as service:
-                with pytest.warns(DeprecationWarning, match="prewarm="):
+                with pytest.raises(TypeError):
                     service.register(library_setting, True)
+                assert len(service.registry) == 0
+                service.register(library_setting, prewarm=True)
                 return service.stats()["registry"]["compiled_entries"]
 
         assert asyncio.run(scenario()) == 1
 
-    def test_host_legacy_positional_warns(self, tmp_path, library_setting):
+    def test_host_positional_flag_raises(self, library_setting):
         with ShardHost(workers=1) as host:
-            with pytest.warns(DeprecationWarning, match="prewarm="):
-                fingerprint = host.register(library_setting, True)
+            with pytest.raises(TypeError):
+                host.register(library_setting, True)
+            assert host.fingerprints() == []
+            fingerprint = host.register(library_setting, prewarm=True)
             assert fingerprint == library_setting.fingerprint()
             assert host.stats()["registry"]["prewarm_compiles"] == 1
+
+    def test_client_positional_flag_raises(self, library_setting):
+        from repro.service.client import ServiceClient
+        from repro.service.server import serve_in_background
+
+        port, _server, join = serve_in_background(parallel=2)
+        with ServiceClient("127.0.0.1", port) as client:
+            with pytest.raises(TypeError):
+                client.register(library_setting, True)
+            assert client.stats()["registry"]["settings_registered"] == 0
+            assert client.shutdown()
+        join()
 
     def test_keyword_form_does_not_warn(self, recwarn, library_setting):
         registry = SettingRegistry()
