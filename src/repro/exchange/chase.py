@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..obs.trace import span as _span
 from ..regexlang.parikh import parikh_vector
+from ..regexlang.univocal import maxima_of, maximum_of
 from ..xmlmodel.dtd import DTD
 from ..xmlmodel.tree import XMLTree
 from ..xmlmodel.values import NullFactory, Value, is_constant
@@ -189,11 +190,11 @@ def _change_reg(dtd: DTD, tree: XMLTree, node: int, nulls: NullFactory,
         raise _ChaseFailure(
             f"children of a {label!r} node (counts {word}) cannot be repaired "
             f"to match π({dtd.content_model(label)})")
-    target = analysis.maximum_repair(word)
+    target = maximum_of(repairs, word)
     if target is None:
         # Outside C_U there may be several maximal repairs; pick one
         # deterministically.  Query answering guarantees only hold inside C_U.
-        maxima = analysis.max_repairs(word)
+        maxima = maxima_of(repairs, word)
         target = sorted(maxima, key=lambda vec: sorted(vec.items()))[0]
     detail_parts: List[str] = []
     for symbol in sorted(set(word) | set(target) | dtd.content_model(label).alphabet()):

@@ -14,7 +14,8 @@ from .parikh import (CountVector, LinearSet, SemilinearSet, SemilinearSizeError,
                      semilinear_of)
 from .parse import RegexParseError, parse_regex
 from .univocal import (RegexAnalysis, analyse, c_value, is_simple_regex,
-                       is_univocal, max_repairs, preorder_leq, repairs)
+                       is_univocal, max_repairs, maximum_of,
+                       nested_relational_factors, preorder_leq, repairs)
 
 __all__ = [
     "Regex", "Epsilon", "Empty", "Symbol", "Concat", "Union", "Star",
@@ -25,5 +26,6 @@ __all__ = [
     "parikh_vector", "semilinear_of", "in_permutation_language",
     "minimal_extensions",
     "RegexAnalysis", "analyse", "c_value", "is_univocal", "is_simple_regex",
-    "repairs", "max_repairs", "preorder_leq",
+    "nested_relational_factors", "repairs", "max_repairs", "maximum_of",
+    "preorder_leq",
 ]

@@ -23,25 +23,50 @@ This module computes, exactly and from the semilinear representation of
 
 Deciding condition 2 quantifies over *all* strings ``w``.  The paper reduces
 it to Presburger arithmetic (Proposition 6.10) without giving complexity
-bounds; we check it for all Parikh vectors with support in ``alph(r)`` and
-counts up to a bound derived from the semilinear representation (every base
-and period entry plus a safety margin), which is exact for the expression
-classes exercised by the paper (simple and nested-relational expressions are
-recognised directly and are always univocal).  The bound can be raised by the
-caller.
+bounds.  Two shapes are decided by their syntax alone, with no sweep:
+
+* **simple** expressions ``ε`` and ``(a_1|…|a_n)*`` (Section 5.3), whose
+  ``π(r)`` holds every vector over ``alph(r)``, so ``c(r) = 0`` and ``w``
+  itself is the ⊑_w-maximum of ``rep(w, r)`` whenever that is nonempty;
+* **nested-relational** expressions ``ℓ̃_1 … ℓ̃_m`` over pairwise-distinct
+  symbols, each ``ℓ̃`` one of ``ℓ``, ``ℓ?``, ``ℓ+``, ``ℓ*``
+  (:func:`nested_relational_factors`).
+
+Both are univocal.  For a nested-relational ``r``, ``π(r)`` is a product of
+per-symbol count intervals ``[lo_ℓ, cap_ℓ]`` (``ℓ``: [1, 1], ``ℓ?``: [0, 1],
+``ℓ+``: [1, ∞), ``ℓ*``: [0, ∞); 0 off ``alph(r)``), so:
+
+* ``c(r) ≤ 1``.  An unbounded symbol can always gain one more occurrence,
+  so its ``fixed_a(r)`` is empty; only ``ℓ`` and ``ℓ?`` are bounded, and
+  both at 1.
+* Every ``min_ext(w', r)`` is a single vector, ``max(w'_ℓ, lo_ℓ)`` per
+  symbol, or empty (``w'`` exceeds some ``cap_ℓ`` or leaves ``alph(r)``).
+* Let ``w*_a = min(w_a, cap_a)`` on ``alph(w)``: the top corner among the
+  ``w' ⪯ w`` with ``alph(w') = alph(w)``.  If ``rep(w, r) ≠ ∅`` then
+  ``m* = min_ext(w*, r)`` exists and is ⊑_w-above every ``m = min_ext(w',
+  r)`` in ``rep(w, r)``: on ``b ∈ alph(w)``, ``m*_b = max(w*_b, lo_b) ≥
+  max(w'_b, lo_b) = m_b``, and off ``alph(w)`` both equal ``lo``, so
+  condition (2) of ⊑_w holds with equality.
+
+Every other shape pays a bounded sweep: ``c(r) ≤ 1``, then a ⊑_w-maximum
+of ``rep(w, r)`` for all Parikh vectors with support in ``alph(r)`` and
+counts up to a bound derived from the semilinear representation (every
+base and period entry plus a safety margin).  The bound can be raised by
+the caller.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .ast import Epsilon, Regex, Star, Symbol, Union
+from .ast import Concat, Epsilon, Regex, Star, Symbol, Union
 from .parikh import CountVector, parikh_vector, semilinear_of
 
 __all__ = [
     "RegexAnalysis", "analyse", "c_value", "is_univocal", "is_simple_regex",
-    "repairs", "max_repairs", "preorder_leq",
+    "nested_relational_factors", "repairs", "max_repairs", "maximum_of",
+    "maxima_of", "preorder_leq",
 ]
 
 
@@ -68,6 +93,64 @@ def _union_of_symbols(expr: Regex) -> Optional[List[str]]:
     return None
 
 
+def nested_relational_factors(model: Regex) -> Optional[List[Tuple[str, str]]]:
+    """If ``model`` has the nested-relational shape ``l̃_1 … l̃_m`` with
+    pairwise distinct symbols, return the list of ``(symbol, quantifier)``
+    pairs with quantifier in ``{"1", "?", "*", "+"}``; otherwise ``None``.
+    Every such expression is univocal (see the module docstring)."""
+    flat = _flatten_concat(model)
+    factors: List[Tuple[str, str]] = []
+    index = 0
+    while index < len(flat):
+        part = flat[index]
+        if isinstance(part, Symbol):
+            # ``l`` or, if followed by ``l*``, the expansion of ``l+``.
+            if (index + 1 < len(flat) and isinstance(flat[index + 1], Star)
+                    and isinstance(flat[index + 1].inner, Symbol)
+                    and flat[index + 1].inner.name == part.name):
+                factors.append((part.name, "+"))
+                index += 2
+                continue
+            factors.append((part.name, "1"))
+            index += 1
+            continue
+        if isinstance(part, Star) and isinstance(part.inner, Symbol):
+            factors.append((part.inner.name, "*"))
+            index += 1
+            continue
+        if isinstance(part, Union):
+            symbol = _optional_symbol(part)
+            if symbol is not None:
+                factors.append((symbol, "?"))
+                index += 1
+                continue
+        if isinstance(part, Epsilon):
+            index += 1
+            continue
+        return None
+    symbols = [s for s, _ in factors]
+    if len(symbols) != len(set(symbols)):
+        return None
+    return factors
+
+
+def _flatten_concat(model: Regex) -> List[Regex]:
+    if isinstance(model, Concat):
+        return _flatten_concat(model.left) + _flatten_concat(model.right)
+    if isinstance(model, Epsilon):
+        return []
+    return [model]
+
+
+def _optional_symbol(model: Union) -> Optional[str]:
+    left, right = model.left, model.right
+    if isinstance(left, Epsilon) and isinstance(right, Symbol):
+        return right.name
+    if isinstance(right, Epsilon) and isinstance(left, Symbol):
+        return left.name
+    return None
+
+
 # --------------------------------------------------------------------- #
 # The ⊑_w preorder (Section 6.1)
 # --------------------------------------------------------------------- #
@@ -83,6 +166,36 @@ def preorder_leq(w1: Mapping[str, int], w2: Mapping[str, int],
     extra_w2 = {s for s, c in w2.items() if c} - alph_w
     extra_w1 = {s for s, c in w1.items() if c} - alph_w
     return extra_w2 <= extra_w1
+
+
+def maximum_of(reps: Sequence[CountVector],
+               w: Mapping[str, int]) -> Optional[CountVector]:
+    """The first ⊑_w-maximum of ``reps`` in list order, or ``None``.
+
+    ⊑_w is a preorder, so two linear passes replace the all-pairs test.  A
+    running candidate, replaced only by an element not below it, stops at
+    the first maximum and keeps it: every earlier candidate is a
+    non-maximum, and a maximum below it would make it one.  The second
+    pass confirms that the candidate is above every element.
+    """
+    if not reps:
+        return None
+    best = reps[0]
+    for candidate in reps[1:]:
+        if not preorder_leq(candidate, best, w):
+            best = candidate
+    if all(preorder_leq(other, best, w) for other in reps):
+        return best
+    return None
+
+
+def maxima_of(reps: Sequence[CountVector],
+              w: Mapping[str, int]) -> List[CountVector]:
+    """The ⊑_w-maximal elements of ``reps``: no element is strictly above."""
+    return [candidate for candidate in reps
+            if not any(preorder_leq(candidate, other, w)
+                       and not preorder_leq(other, candidate, w)
+                       for other in reps)]
 
 
 class RegexAnalysis:
@@ -227,39 +340,19 @@ class RegexAnalysis:
     def max_repairs(self, w) -> List[CountVector]:
         """The ⊑_w-maximal elements of ``rep(w, r)`` (ChangeReg's candidates)."""
         vector = self._as_vector(w)
-        reps = self.repairs(vector)
-        maxima = []
-        for candidate in reps:
-            if all(preorder_leq(other, candidate, vector) or
-                   not preorder_leq(candidate, other, vector) or
-                   _vec_eq(candidate, other)
-                   for other in reps):
-                # candidate is maximal if no other is strictly above it
-                if not any(preorder_leq(candidate, other, vector)
-                           and not preorder_leq(other, candidate, vector)
-                           for other in reps):
-                    maxima.append(candidate)
-        return maxima
+        return maxima_of(self.repairs(vector), vector)
 
     def has_max_repair(self, w) -> bool:
         """Does ``rep(w, r)`` have a ⊑_w-*maximum* (an element above all others)?"""
         vector = self._as_vector(w)
         reps = self.repairs(vector)
-        if not reps:
-            return True  # vacuously: the condition only applies when rep ≠ ∅
-        for candidate in reps:
-            if all(preorder_leq(other, candidate, vector) for other in reps):
-                return True
-        return False
+        # Vacuously so when rep = ∅: the condition only applies when rep ≠ ∅.
+        return not reps or maximum_of(reps, vector) is not None
 
     def maximum_repair(self, w) -> Optional[CountVector]:
         """The ⊑_w-maximum of ``rep(w, r)`` if it exists, else ``None``."""
         vector = self._as_vector(w)
-        reps = self.repairs(vector)
-        for candidate in reps:
-            if all(preorder_leq(other, candidate, vector) for other in reps):
-                return candidate
-        return None
+        return maximum_of(self.repairs(vector), vector)
 
     # -- univocality ------------------------------------------------------ #
 
@@ -276,7 +369,8 @@ class RegexAnalysis:
 
     def is_univocal(self, bound: Optional[int] = None) -> bool:
         """Definition 6.9: ``c(r) ≤ 1`` and every ``rep(w, r) ≠ ∅`` has a
-        ⊑_w-maximum.  See the module docstring for the bounded sweep."""
+        ⊑_w-maximum.  The module docstring lists the shapes decided by
+        syntax; every other shape pays the bounded sweep."""
         if self._univocal is not None and bound is None:
             return self._univocal
         result = self._decide_univocal(bound)
@@ -285,7 +379,10 @@ class RegexAnalysis:
         return result
 
     def _decide_univocal(self, bound: Optional[int]) -> bool:
-        if is_simple_regex(self.expr):
+        # Simple and nested-relational expressions are univocal by their
+        # shape (module docstring); only the other shapes pay the sweep.
+        if (is_simple_regex(self.expr)
+                or nested_relational_factors(self.expr) is not None):
             return True
         if self.c_value() > 1:
             return False
@@ -303,11 +400,6 @@ class RegexAnalysis:
                     if not self.has_max_repair(w):
                         return False
         return True
-
-
-def _vec_eq(left: Mapping[str, int], right: Mapping[str, int]) -> bool:
-    return ({s: c for s, c in left.items() if c}
-            == {s: c for s, c in right.items() if c})
 
 
 # --------------------------------------------------------------------- #

@@ -25,14 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
-                    Set, Tuple)
+                    Set)
 
 from ..regexlang.ast import (Concat, Empty, Epsilon, Regex, Star, Symbol, Union,
                              concat, empty, epsilon, star, sym, union)
 from ..regexlang.nfa import NFA, regex_to_nfa
 from ..regexlang.parse import parse_regex
-from ..regexlang.parikh import SemilinearSet, parikh_vector, semilinear_of
-from ..regexlang.univocal import RegexAnalysis, analyse, is_simple_regex
+from ..regexlang.parikh import parikh_vector
+from ..regexlang.univocal import (RegexAnalysis, analyse, is_simple_regex,
+                                  nested_relational_factors)
 from .tree import XMLTree
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -44,7 +45,6 @@ __all__ = ["DTD", "parse_dtd", "nested_relational_factors"]
 @dataclass
 class _RuleCache:
     nfa: NFA
-    semilinear: SemilinearSet
     analysis: RegexAnalysis
 
 
@@ -117,11 +117,8 @@ class DTD:
             # re-publishes these via CacheStats.set_counts
             self._cache_misses += 1
             model = self.content_model(element)
-            cached = _RuleCache(
-                nfa=regex_to_nfa(model),
-                semilinear=semilinear_of(model),
-                analysis=analyse(model),
-            )
+            cached = _RuleCache(nfa=regex_to_nfa(model),
+                                analysis=analyse(model))
             self._cache[element] = cached
         else:
             # repro-lint: disable=RL004 -- plain counts by design, see above
@@ -178,7 +175,7 @@ class DTD:
                         f"node {node} ({label}): children {child_labels} "
                         f"not in L({self.content_model(label)})")
             else:
-                if not cache.semilinear.contains(parikh_vector(child_labels)):
+                if not cache.analysis.semilinear.contains(parikh_vector(child_labels)):
                     problems.append(
                         f"node {node} ({label}): children {child_labels} "
                         f"not in π({self.content_model(label)})")
@@ -236,7 +233,7 @@ class DTD:
                             f"node {orig[pos]} ({label}): children "
                             f"{child_labels} not in L({model})")
                 else:
-                    if not cache.semilinear.contains(parikh_vector(child_labels)):
+                    if not cache.analysis.semilinear.contains(parikh_vector(child_labels)):
                         problems.append(
                             f"node {orig[pos]} ({label}): children "
                             f"{child_labels} not in π({model})")
@@ -505,63 +502,6 @@ def _erase_symbols(model: Regex, keep: Set[str]) -> Regex:
     if isinstance(model, Star):
         return star(_erase_symbols(model.inner, keep))
     raise TypeError(f"unknown regex node: {model!r}")
-
-
-def nested_relational_factors(model: Regex) -> Optional[List[Tuple[str, str]]]:
-    """If ``model`` has the nested-relational shape ``l̃_1 … l̃_m`` with
-    pairwise distinct symbols, return the list of ``(symbol, quantifier)``
-    pairs with quantifier in ``{"1", "?", "*", "+"}``; otherwise ``None``."""
-    flat = _flatten_concat(model)
-    factors: List[Tuple[str, str]] = []
-    index = 0
-    while index < len(flat):
-        part = flat[index]
-        if isinstance(part, Symbol):
-            # ``l`` or, if followed by ``l*``, the expansion of ``l+``.
-            if (index + 1 < len(flat) and isinstance(flat[index + 1], Star)
-                    and isinstance(flat[index + 1].inner, Symbol)
-                    and flat[index + 1].inner.name == part.name):
-                factors.append((part.name, "+"))
-                index += 2
-                continue
-            factors.append((part.name, "1"))
-            index += 1
-            continue
-        if isinstance(part, Star) and isinstance(part.inner, Symbol):
-            factors.append((part.inner.name, "*"))
-            index += 1
-            continue
-        if isinstance(part, Union):
-            symbol = _optional_symbol(part)
-            if symbol is not None:
-                factors.append((symbol, "?"))
-                index += 1
-                continue
-        if isinstance(part, Epsilon):
-            index += 1
-            continue
-        return None
-    symbols = [s for s, _ in factors]
-    if len(symbols) != len(set(symbols)):
-        return None
-    return factors
-
-
-def _flatten_concat(model: Regex) -> List[Regex]:
-    if isinstance(model, Concat):
-        return _flatten_concat(model.left) + _flatten_concat(model.right)
-    if isinstance(model, Epsilon):
-        return []
-    return [model]
-
-
-def _optional_symbol(model: Union) -> Optional[str]:
-    left, right = model.left, model.right
-    if isinstance(left, Epsilon) and isinstance(right, Symbol):
-        return right.name
-    if isinstance(right, Epsilon) and isinstance(left, Symbol):
-        return left.name
-    return None
 
 
 # --------------------------------------------------------------------- #
