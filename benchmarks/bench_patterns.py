@@ -19,15 +19,13 @@ fingerprint across repeated passes).  Raw speedups are reported and fed to
 ``compare_bench.py`` (bench kind ``"patterns"``) against the committed
 ``benchmarks/BENCH_patterns.json``.
 
-``--selective`` switches to the structural-join bench: synthetic *wide*
-trees (thousands of filler nodes, a handful of rare ``shelf → book →
-author`` chains) against label-selective and ``//`` queries — the shape
-where the sorted-interval join over the pre/post plane seeded from
-``nodes_by_label`` should dominate.  Both evaluation strategies are
-forced in turn via ``REPRO_EVAL_STRATEGY``; the gates are three-way
-bit-identical answers (join / recurrence / interpreter), exact
-``plan_join_runs`` / ``plan_recurrence_runs`` accounting, and a ≥10×
-join-vs-interpreter speedup (bench kind ``"patterns-selective"``,
+``--selective`` switches to the selective bench: synthetic *wide* trees
+(thousands of filler nodes, a handful of rare ``shelf → book → author``
+chains) against label-selective and ``//`` queries — the shape where
+plans seeded from ``nodes_by_label`` should dominate.  The gates are
+answer parity with the interpreter, exact ``plan_join_runs`` accounting
+(one event per pattern run, every repeat included) and a ≥10×
+plan-vs-interpreter speedup (bench kind ``"patterns-selective"``,
 committed baseline ``benchmarks/BENCH_patterns_selective.json``).
 
 Run standalone::
@@ -39,7 +37,6 @@ Run standalone::
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -117,44 +114,21 @@ def _run_selective(args) -> int:
     # Plans and freezes amortised: this bench isolates *evaluation*.
     frozen_pairs = [(tree.freeze(), compile_query(query))
                     for tree, query in pairs]
-
-    def forced_pass(strategy, stats):
-        previous = os.environ.get("REPRO_EVAL_STRATEGY")
-        os.environ["REPRO_EVAL_STRATEGY"] = strategy
-        try:
-            return [plan.rows(frozen, stats=stats)
-                    for frozen, plan in frozen_pairs]
-        finally:
-            if previous is None:
-                del os.environ["REPRO_EVAL_STRATEGY"]
-            else:
-                os.environ["REPRO_EVAL_STRATEGY"] = previous
-
-    join_stats = CacheStats()
-    join_time, join_rows = timed(lambda: forced_pass("join", join_stats))
-    recurrence_stats = CacheStats()
-    recurrence_time, recurrence_rows = timed(
-        lambda: forced_pass("recurrence", recurrence_stats))
+    stats = CacheStats()
+    join_time, join_rows = timed(
+        lambda: [plan.rows(frozen, stats=stats)
+                 for frozen, plan in frozen_pairs])
     interp_time, interp_answers = timed(
         lambda: [query.answers(tree) for tree, query in pairs])
 
     interpreter_eps = n / max(interp_time, 1e-9)
     join_eps = n / max(join_time, 1e-9)
-    recurrence_eps = n / max(recurrence_time, 1e-9)
     join_speedup = join_eps / interpreter_eps
     print(f"interpreter         : {interpreter_eps:10.1f} evals/s")
-    print(f"recurrence (forced) : {recurrence_eps:10.1f} evals/s "
-          f"({recurrence_eps / interpreter_eps:5.1f}x)")
-    print(f"join (forced)       : {join_eps:10.1f} evals/s "
+    print(f"plan                : {join_eps:10.1f} evals/s "
           f"({join_speedup:5.1f}x)")
 
-    # Gate: *ordered* row parity between the strategies (null allocation
-    # downstream rides on row order), answer parity with the interpreter.
-    if join_rows != recurrence_rows:
-        mismatches = sum(1 for a, b in zip(join_rows, recurrence_rows)
-                         if a != b)
-        failures.append(f"strategy parity: {mismatches} of {n} pairs "
-                        "return different rows under join vs recurrence")
+    # Gate: answer parity with the interpreter on every pair.
     planned_answers = [
         {tuple(row[slot] for slot in plan.free_slots) for row in rows}
         for rows, (_, plan) in zip(join_rows, frozen_pairs)]
@@ -162,32 +136,27 @@ def _run_selective(args) -> int:
         mismatches = sum(1 for a, b in zip(planned_answers, interp_answers)
                          if a != b)
         failures.append(f"interpreter parity: {mismatches} of {n} pairs "
-                        "differ between join rows and the oracle")
-    if not failures:
-        print(f"parity              : all {n} pairs bit-identical across "
-              "join / recurrence / interpreter")
-
-    # Gate: exact strategy accounting — a forced pass moves only its own
-    # counter, once per pattern-plan run, every repeat included.
-    if join_stats.counts("plan_recurrence_runs") or \
-            recurrence_stats.counts("plan_join_runs"):
-        failures.append("strategy accounting: a forced pass recorded runs "
-                        "under the other strategy's counter")
-    joins = join_stats.counts("plan_join_runs")
-    recurrences = recurrence_stats.counts("plan_recurrence_runs")
-    if joins != recurrences or joins == 0 or joins % args.repeat:
-        failures.append(f"strategy accounting: {joins} join runs vs "
-                        f"{recurrences} recurrence runs over "
-                        f"{args.repeat} identical passes")
+                        "differ between plan rows and the oracle")
     else:
-        print(f"strategy accounting : {joins // args.repeat} pattern runs "
-              f"per pass, counters exact over {args.repeat} passes")
+        print(f"parity              : all {n} pairs equal across "
+              "plan / interpreter")
 
-    # Gate: the tentpole's reason to exist — ≥10× the interpreter on
-    # label-selective queries (measured margin is far larger; 10 keeps the
-    # gate robust on noisy CI machines).
+    # Gate: exact accounting — one plan_join_runs event per pattern run,
+    # every repeat included.
+    pattern_runs = sum(len(list(query.patterns())) for _, query in pairs)
+    joins = stats.counts("plan_join_runs")
+    if joins != pattern_runs * args.repeat:
+        failures.append(f"run accounting: {joins} plan_join_runs events "
+                        f"for {pattern_runs} pattern runs x "
+                        f"{args.repeat} passes")
+    else:
+        print(f"run accounting      : {pattern_runs} pattern runs per "
+              f"pass, counters exact over {args.repeat} passes")
+
+    # Gate: ≥10× the interpreter on label-selective queries (measured
+    # margin is far larger; 10 keeps the gate robust on noisy CI machines).
     if join_speedup < 10.0:
-        failures.append(f"join speedup {join_speedup:.1f}x below the 10x "
+        failures.append(f"plan speedup {join_speedup:.1f}x below the 10x "
                         "floor on the selective workload")
 
     _write_json(args.json, {
@@ -198,9 +167,8 @@ def _run_selective(args) -> int:
         "repeat": args.repeat,
         "interpreter_eps": interpreter_eps,
         "join_eps": join_eps,
-        "recurrence_eps": recurrence_eps,
         "join_speedup": join_speedup,
-        "plan_join_runs_per_pass": joins // max(args.repeat, 1),
+        "plan_join_runs_per_pass": pattern_runs,
         "failures": failures,
     })
     for failure in failures:
@@ -231,9 +199,9 @@ def main(argv=None) -> int:
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write a machine-readable result file")
     parser.add_argument("--selective", action="store_true",
-                        help="run the structural-join bench instead: wide "
-                             "trees, label-selective queries, forced "
-                             "strategies (bench kind patterns-selective)")
+                        help="run the selective bench instead: wide "
+                             "trees, label-selective queries (bench kind "
+                             "patterns-selective)")
     args = parser.parse_args(argv)
     if args.selective:
         return _run_selective(args)

@@ -48,7 +48,7 @@ THROUGHPUT_METRICS = {
     "engine-generated": ("serial_tps", "repeat_tps"),
     "service": ("throughput_rps",),
     "patterns": ("plan_eps", "plan_warm_eps"),
-    "patterns-selective": ("join_eps", "recurrence_eps"),
+    "patterns-selective": ("join_eps",),
     "storage": ("ingest_dps", "read_dps", "fp_eps"),
 }
 

@@ -105,19 +105,15 @@ def main() -> None:
           f"paid once per query, not once per (query, node).")
 
     # ------------------------------------------------------------------ #
-    # 7. Evaluation strategies: each plan run picks structural joins
-    #    (seeded from the snapshot's per-label indexes, interval joins
-    #    over the pre/post plane) or the bottom-up recurrence, whichever
-    #    the selectivity heuristic predicts is cheaper.  The counters
-    #    say which strategy actually served the re-asked question.
+    # 7. Plan runs: every pattern atom evaluated — the STD source patterns
+    #    building the canonical pre-solution and the query's own atoms —
+    #    is one run of the set-at-a-time evaluator over a frozen tree
+    #    (candidates seeded from per-label indexes, `//` tabled only over
+    #    the ancestors of its matches).  The counter shows how many runs
+    #    the re-asked question cost.
     # ------------------------------------------------------------------ #
-    joins = stats["plan_join_runs"] - before["plan_join_runs"]
-    recurrences = (stats["plan_recurrence_runs"]
-                   - before["plan_recurrence_runs"])
-    print(f"Evaluation strategy for that request: {joins} structural-join "
-          f"run(s), {recurrences} recurrence run(s) "
-          f"(force either with REPRO_EVAL_STRATEGY=join|recurrence).")
-
+    runs = stats["plan_join_runs"] - before["plan_join_runs"]
+    print(f"Plan runs for that request: {runs} pattern evaluation(s).")
 
 if __name__ == "__main__":
     main()

@@ -8,7 +8,7 @@ assumes — a violated one does not crash, it returns wrong answers:
 
 * **slot def-before-use** — every ``desc`` op references a strictly
   earlier inner op, every ``node`` op's children are strictly earlier
-  (the single bottom-up pass fills tables in op order);
+  (the evaluator fills op tables in index order);
 * **slot-range validity** — every variable test binds a slot inside the
   plan's row width, slot assignments are injective per scope;
 * **uniform row width** — every atom under a ``_Join``/``_Union`` carries
@@ -22,12 +22,10 @@ assumes — a violated one does not crash, it returns wrong answers:
   slots and never a slot the whole query exports as free;
 * **shape mirror** — the lowered operator tree is isomorphic to the query
   AST (atom ↔ pattern, join ↔ conjunction, project ↔ ∃, union ↔ ∪);
-* **join-program alignment** — the structural-join program derived at
-  compile time is index-aligned with the recurrence ops, every staircase
-  join ranges over a strictly earlier node op's table (interval-input
-  monotonicity), every node entry carries exactly one spec per child
-  (width uniformity across join arms), and every collapsed ``//`` chain
-  re-collapses to the recorded ``(inner, k)`` with ``k ≥ 1``.
+* **root chain** — the pattern root is the last op, and a ``//`` chain
+  at the root occupies the trailing ops (each desc op's inner is the op
+  just before it): the evaluator reads the root's rows off the last
+  non-chain op and never tables a root chain.
 
 Compile-time hook: with ``REPRO_PLAN_VERIFY=1`` (the test suite's
 default, see ``tests/conftest.py``) every ``compile_pattern`` /
@@ -114,7 +112,7 @@ def _verify_ops(ops: Sequence[tuple], width: int, labels: Set[str],
             if not isinstance(inner, int) or not 0 <= inner < index:
                 _fail(f"desc op references inner op {inner!r}; must "
                       f"reference a strictly earlier op (< {index}) so the "
-                      "bottom-up pass sees it defined", where)
+                      "evaluator sees it defined", where)
             continue
         if kind != "node":
             _fail(f"unknown op kind {kind!r}", where)
@@ -147,81 +145,22 @@ def _verify_ops(ops: Sequence[tuple], width: int, labels: Set[str],
     return node_ops, desc_ops
 
 
-def _verify_join_ops(ops: Sequence[tuple], join_ops: Any,
-                     context: str) -> None:
-    """The structural-join program must mirror the recurrence ops.
-
-    ``join_ops`` is derived once at compile time
-    (:func:`repro.patterns.plan._derive_join_ops`); the evaluator trusts
-    it blindly, so this check re-derives every entry and proves the
-    interval-join invariants the staircase ranges assume.
-    """
-    if not isinstance(join_ops, tuple):
-        _fail(f"join program is {type(join_ops).__name__}, expected tuple",
-              context)
-    if len(join_ops) != len(ops):
-        _fail(f"join program has {len(join_ops)} entries for {len(ops)} "
-              "ops (index alignment broken)", context)
-
-    def collapse(index: int) -> Tuple[int, int]:
-        hops = 0
-        while ops[index][0] == "desc":
-            hops += 1
-            index = ops[index][1]
-        return index, hops
-
-    for index, (op, jop) in enumerate(zip(ops, join_ops)):
-        where = f"{context} join_op[{index}]"
-        if not isinstance(jop, tuple) or not jop or jop[0] != op[0]:
-            _fail(f"join entry {jop!r} does not mirror op kind {op[0]!r}",
-                  where)
-        if op[0] == "desc":
-            if len(jop) != 3:
-                _fail(f"desc join entry has arity {len(jop)}, expected 3",
-                      where)
-            _, inner, k = jop
-            if not isinstance(inner, int) or not 0 <= inner < index:
-                _fail(f"desc join entry targets op {inner!r}; the staircase "
-                      f"must range over a strictly earlier (< {index}) "
-                      "already-materialised table (interval-input "
-                      "monotonicity)", where)
-            if ops[inner][0] != "node":
-                _fail(f"desc join entry targets op {inner}, which is not a "
-                      "node op — chains must collapse to their terminal "
-                      "node", where)
-            expected_inner, hops = collapse(op[1])
-            if not isinstance(k, int) or k < 1:
-                _fail(f"desc join entry carries depth floor {k!r}; a "
-                      "descendant hop is at least one level", where)
-            if (inner, k) != (expected_inner, hops + 1):
-                _fail(f"desc join entry records (inner={inner}, k={k}) but "
-                      f"re-collapsing the chain gives "
-                      f"(inner={expected_inner}, k={hops + 1})", where)
-            continue
-        if len(jop) != 2:
-            _fail(f"node join entry has arity {len(jop)}, expected 2", where)
-        specs = jop[1]
-        child_indexes = op[4]
-        if not isinstance(specs, tuple) or len(specs) != len(child_indexes):
-            _fail(f"node join entry carries "
-                  f"{len(specs) if isinstance(specs, tuple) else specs!r} "
-                  f"child specs for {len(child_indexes)} children (width "
-                  "uniformity across join arms)", where)
-        for spec_index, (spec, child) in enumerate(zip(specs, child_indexes)):
-            spot = f"{where} spec[{spec_index}]"
-            if not isinstance(spec, tuple) or not spec:
-                _fail(f"child spec {spec!r} is not a non-empty tuple", spot)
-            if ops[child][0] == "desc":
-                expected = ("desc",) + collapse(child)
-                if spec != expected:
-                    _fail(f"child spec {spec!r} disagrees with the "
-                          f"re-collapsed chain {expected!r}", spot)
-                if spec[2] < 1:
-                    _fail(f"collapsed chain records {spec[2]} hops; a "
-                          "descendant hop is at least one level", spot)
-            elif spec != ("child", child):
-                _fail(f"child spec {spec!r} does not mirror child op "
-                      f"{child} as a child-span merge join", spot)
+def _verify_root_chain(ops: Sequence[tuple], root: int,
+                       context: str) -> None:
+    """The one layout invariant :func:`repro.patterns.plan._evaluate`
+    assumes: ``root`` is the last op and its ``//`` chain is the trailing
+    run of desc ops, each over the op just before it."""
+    if root != len(ops) - 1:
+        _fail(f"root op index {root} is not the last op "
+              f"({len(ops) - 1}); the evaluator gathers the root from "
+              "the trailing ops", context)
+    index = root
+    while ops[index][0] == "desc":
+        if ops[index][1] != index - 1:
+            _fail(f"root // chain: desc op {index} ranges over op "
+                  f"{ops[index][1]}, not {index - 1}; the chain must "
+                  "occupy the trailing ops", context)
+        index -= 1
 
 
 def _verify_pattern_plan(plan: Any, width: Optional[int] = None,
@@ -240,9 +179,7 @@ def _verify_pattern_plan(plan: Any, width: Optional[int] = None,
     if (node_ops, desc_ops) != (n_nodes, n_descs):
         _fail(f"op counts (node={node_ops}, desc={desc_ops}) disagree with "
               f"the pattern (node={n_nodes}, desc={n_descs})", context)
-    _verify_join_ops(plan.ops, plan.join_ops, context)
-    if not 0 <= plan.root < len(plan.ops):
-        _fail(f"root op index {plan.root} outside ops", context)
+    _verify_root_chain(plan.ops, plan.root, context)
     seen_slots: Set[int] = set()
     for name, slot in plan.slots.items():
         if not isinstance(slot, int) or not 0 <= slot < expected_width:

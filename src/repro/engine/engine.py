@@ -266,7 +266,6 @@ class ExchangeEngine:
         merged.setdefault("plan_cache_misses", 0)
         merged.setdefault("plan_cache_evictions", 0)
         merged.setdefault("plan_join_runs", 0)
-        merged.setdefault("plan_recurrence_runs", 0)
         return merged
 
     def stats_summary(self) -> EngineStats:
@@ -284,7 +283,6 @@ class ExchangeEngine:
             plan_cache_evictions=counters["plan_cache_evictions"],
             plan_cache_entries=len(self.compiled.plan_cache),
             plan_join_runs=counters["plan_join_runs"],
-            plan_recurrence_runs=counters["plan_recurrence_runs"],
             store_hits=counters.get("store_hits", 0),
             store_misses=counters.get("store_misses", 0),
             store_bytes=counters.get("store_bytes", 0),

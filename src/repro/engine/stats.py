@@ -43,12 +43,8 @@ class EngineStats:
     plan_cache_misses: int = 0
     plan_cache_evictions: int = 0
     plan_cache_entries: int = 0
-    #: Evaluation-strategy accounting: one event per pattern-plan run,
-    #: split by which evaluator served it (the structural join over the
-    #: pre/post plane vs the bottom-up recurrence — see
-    #: :mod:`repro.patterns.plan`).
+    #: One event per pattern-plan run (see :mod:`repro.patterns.plan`).
     plan_join_runs: int = 0
-    plan_recurrence_runs: int = 0
     #: Corpus-store resolution counters (all zero with no store attached):
     #: ``store_hits`` / ``store_misses`` count fingerprint-addressed tree
     #: resolutions; ``store_bytes`` accumulates record bytes read off the

@@ -110,24 +110,11 @@ def certain_answers(setting: DataExchangeSetting, source_tree: XMLTree,
         frozen = (result.frozen if result.frozen is not None
                   else result.tree.freeze())
     stats = compiled.stats if compiled is not None else None
-    with _span("engine.plan_run") as plan_span:
-        join_before = recurrence_before = 0
-        if stats is not None:
-            join_before = stats.counts("plan_join_runs")
-            recurrence_before = stats.counts("plan_recurrence_runs")
+    with _span("engine.plan_run"):
         answers = {
             tup for tup in plan.answers(frozen, order, stats=stats)
             if all(is_constant(value) for value in tup)
         }
-        if stats is not None:
-            joins = stats.counts("plan_join_runs") - join_before
-            recurrences = (stats.counts("plan_recurrence_runs")
-                           - recurrence_before)
-            plan_span.annotate(strategy=(
-                "mixed" if joins and recurrences
-                else "join" if joins
-                else "recurrence" if recurrences
-                else "none"))
     return CertainAnswers(True, answers, order, result.tree, result)
 
 

@@ -13,26 +13,20 @@ cost **once per query** instead of once per (query, node):
   unbound slot), label tests are single ``int`` comparisons against the
   interned labels of a :class:`~repro.xmlmodel.frozen.FrozenTree`, and
   joins are slot-merge loops over those tuples;
-* **two evaluation strategies** share those lowered ops.  The *recurrence*
-  runs one bottom-up pass over the frozen tree's ``post_order``, filling
-  per-op match tables — ``//ϕ`` is lowered to the recurrence
-  ``desc(v) = ⋃_{c child of v} (inner(c) ∪ desc(c))``, so no descendant
-  set is ever enumerated.  The *structural join* is set-at-a-time over
-  the pre/post plane: each node op scans only its candidate seed
-  (``nodes_by_label`` for a labelled op, the smallest tested attribute
-  table for a wildcard with tests), ``/`` steps are merge joins over the
-  contiguous BFS child spans, and collapsed ``//`` chains are skip-ahead
-  staircase joins — one ``bisect`` into the inner matches sorted by pre
-  rank, bounded by ``pre[v] + size[v]`` and filtered by depth.  Both
-  strategies produce **bit-identical rows in bit-identical order** (the
-  join replays the recurrence's document-order gathers), so downstream
-  null allocation — and therefore canonical-solution fingerprints — never
-  depends on which one ran;
-* the strategy is chosen per ``matches()`` call by a cheap selectivity
-  heuristic (join when the summed seed sizes are at most half of
-  ``n × node-ops``), overridable via ``REPRO_EVAL_STRATEGY=join|
-  recurrence|auto``; callers that pass a ``stats`` recorder get
-  ``plan_join_runs`` / ``plan_recurrence_runs`` event counts;
+* :func:`_evaluate` runs those ops set-at-a-time over the frozen tree,
+  each into a sparse ``{position: rows}`` table: a node op scans only its
+  candidate seed (``nodes_by_label`` for a labelled op, the smallest
+  tested attribute table for a wildcard with tests) and joins each child
+  op by a merge over the contiguous BFS child spans; ``//ϕ`` is the
+  bottom-up recurrence ``desc(v) = ⋃_{c child of v} (inner(c) ∪
+  desc(c))``, filled only over the ancestors of ``ϕ``'s matches, so no
+  descendant set is ever enumerated; a ``//`` chain at the pattern root
+  is read straight off the inner matches in pre order.  Rows come out
+  deduplicated **in a fixed order** (node-rooted matches by BFS
+  position, ``//`` matches in pre order) — downstream null allocation,
+  and therefore canonical-solution fingerprints, depend on it; callers
+  that pass a ``stats`` recorder get one ``plan_join_runs`` event per
+  pattern run;
 * :class:`PlanCache` is a bounded, counted, thread-safe LRU keyed by
   ``Query.fingerprint()`` — the engine and every service shard reuse plans
   across requests.  Per-tree spec resolution (label/attribute interning)
@@ -55,7 +49,7 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import OrderedDict
 from typing import (Any, Dict, List, Mapping, Optional, Sequence, Set,
                     Tuple)
@@ -101,56 +95,6 @@ def _maybe_verify(plan: Any) -> Any:
         plancheck.verify_plan(plan)
         plan.verified = True
     return plan
-
-
-_STRATEGIES = ("auto", "join", "recurrence")
-
-
-def _strategy_override() -> str:
-    """The ``REPRO_EVAL_STRATEGY`` knob: ``join``, ``recurrence`` or
-    ``auto`` (the default — per-pattern selectivity heuristic).  Read per
-    call so tests and operators can flip it without recompiling plans."""
-    raw = os.environ.get("REPRO_EVAL_STRATEGY", "auto").strip().lower()
-    if not raw:
-        return "auto"
-    if raw not in _STRATEGIES:
-        raise ValueError(
-            f"REPRO_EVAL_STRATEGY={raw!r} is not one of {_STRATEGIES}")
-    return raw
-
-
-def _pick_strategy(resolved: Sequence[tuple], frozen: FrozenTree) -> str:
-    """``join`` or ``recurrence`` for one pattern evaluation.
-
-    The heuristic is deliberately cheap: sum the candidate-seed sizes of
-    the resolved node ops (the work the join pass scans) and compare
-    against ``n × node-ops`` (the work the recurrence pass scans).  Join
-    wins when its seeds cover at most half the recurrence's sweep — on a
-    label-selective pattern the seeds are tiny and the join is chosen; on
-    a wildcard-heavy pattern both sides degenerate to ``n`` per op and the
-    recurrence keeps its allocation-light single pass.
-    """
-    choice = _strategy_override()
-    if choice != "auto":
-        return choice
-    n = frozen.n
-    total = 0
-    node_ops = 0
-    for rop in resolved:
-        kind = rop[0]
-        if kind == "desc":
-            continue
-        node_ops += 1
-        if kind == "never":
-            continue
-        rlabel = rop[1]
-        if rlabel >= 0:
-            total += len(frozen.nodes_by_label[rlabel])
-        elif rop[2] or rop[3]:
-            total += min(len(table) for table, _ in rop[2] + rop[3])
-        else:
-            total += n
-    return "join" if total * 2 <= n * node_ops else "recurrence"
 
 
 # --------------------------------------------------------------------- #
@@ -216,56 +160,6 @@ def _lower_pattern(pattern: TreePattern, env: Dict[str, int],
     return len(ops) - 1
 
 
-def _collapse_desc(ops: Sequence[tuple], index: int) -> Tuple[int, int]:
-    """Walk a ``desc`` chain starting at op ``index`` down to its node op.
-
-    Returns ``(inner, k)``: the terminal node-op index and the chain
-    length.  ``desc^k(ϕ)`` at ``v`` is witnessed exactly by the matches of
-    ``ϕ`` at descendants ``w`` of ``v`` with ``depth[w] ≥ depth[v] + k``
-    — the whole chain evaluates as one staircase join with a depth floor.
-    """
-    hops = 0
-    while ops[index][0] == "desc":
-        hops += 1
-        index = ops[index][1]
-    return index, hops
-
-
-def _derive_join_ops(ops: Sequence[tuple]) -> Tuple[tuple, ...]:
-    """The structural-join program paired with a recurrence op sequence.
-
-    One entry per op, same indexes:
-
-      ``("node", child_specs)``   — specs mirror the op's child indexes;
-                                    each is ``("child", op_index)`` for a
-                                    child-span merge join or
-                                    ``("desc", inner_op_index, k)`` for a
-                                    collapsed ``//`` chain (staircase join
-                                    with depth floor ``depth[v] + 1 + k``);
-      ``("desc", inner, k)``      — a desc op itself, collapsed (consumed
-                                    only when the chain is the pattern
-                                    root: the final gather filters the
-                                    inner matches by ``depth[w] ≥ k``).
-
-    Derived at compile time (and statically verified next to the ops by
-    :mod:`repro.analysis.plancheck`), so evaluation never re-walks chains.
-    """
-    derived: List[tuple] = []
-    for op in ops:
-        if op[0] == "desc":
-            inner, hops = _collapse_desc(ops, op[1])
-            derived.append(("desc", inner, hops + 1))
-            continue
-        specs: List[tuple] = []
-        for child_index in op[4]:
-            if ops[child_index][0] == "desc":
-                specs.append(("desc",) + _collapse_desc(ops, child_index))
-            else:
-                specs.append(("child", child_index))
-        derived.append(("node", tuple(specs)))
-    return tuple(derived)
-
-
 def _merge_rows(first: Row, second: Row) -> Optional[Row]:
     """Slot-merge of two rows: ``None`` on a bound-slot conflict."""
     merged: Optional[List[Optional[Value]]] = None
@@ -301,8 +195,7 @@ def _resolve_ops(ops: Sequence[tuple],
 
     ``rlabel``: -1 = wildcard, -2 = label absent (op can never match).
     The result depends only on the tree's interning tables, so it is
-    cached per (plan, frozen snapshot) — see :meth:`PatternPlan._bound_ops`
-    — and shared by both evaluation strategies.
+    cached per (plan, frozen snapshot) — see :meth:`PatternPlan._bound_ops`.
     """
     attr_tables = frozen.attr_tables
     attr_ids = frozen.attr_ids
@@ -340,165 +233,105 @@ def _resolve_ops(ops: Sequence[tuple],
     return tuple(resolved)
 
 
-def _evaluate_ops(ops: Sequence[tuple], frozen: FrozenTree, width: int,
-                  base: Row,
-                  resolved: Optional[Sequence[tuple]] = None
-                  ) -> List[List[Tuple[Row, ...]]]:
-    """One bottom-up pass: per-op, per-node match tables over ``frozen``
-    (the recurrence strategy)."""
-    n = frozen.n
-    labels = frozen.labels
-    child_start = frozen.child_start
-    child_end = frozen.child_end
-    if resolved is None:
-        resolved = _resolve_ops(ops, frozen)
-    tables: List[List[Tuple[Row, ...]]] = [[_EMPTY] * n for _ in ops]
+def _desc_table(inner_rows: Dict[int, Tuple[Row, ...]],
+                parents: Sequence[int]) -> Dict[int, Tuple[Row, ...]]:
+    """The ``//`` recurrence ``desc(v) = ⋃_{c child of v} (inner(c) ∪
+    desc(c))``, filled only where it is non-empty.
 
-    for v in frozen.post_order:
-        cs = child_start[v]
-        ce = child_end[v]
-        for index, op in enumerate(resolved):
-            kind = op[0]
-            if kind == "never":
-                continue
-            if kind == "desc":
-                if cs == ce:
-                    continue
-                inner_table = tables[op[1]]
-                self_table = tables[index]
-                gathered: List[Row] = []
-                for c in range(cs, ce):
-                    found = inner_table[c]
-                    if found:
-                        gathered.extend(found)
-                    found = self_table[c]
-                    if found:
-                        gathered.extend(found)
-                if gathered:
-                    if len(gathered) > 1:
-                        gathered = list(dict.fromkeys(gathered))
-                    self_table[v] = tuple(gathered)
-                continue
-            _, rlabel, rconst, rvar, child_indexes = op
-            if rlabel >= 0 and labels[v] != rlabel:
-                continue
-            ok = True
-            for table, constant in rconst:
-                if table.get(v) != constant:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            row = base
-            if rvar:
-                scratch: Optional[List[Optional[Value]]] = None
-                for table, slot in rvar:
-                    value = table.get(v)
-                    if value is None:
-                        ok = False
-                        break
-                    current = row[slot] if scratch is None else scratch[slot]
-                    if current is None:
-                        if scratch is None:
-                            scratch = list(row)
-                        scratch[slot] = value
-                    elif current != value:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                if scratch is not None:
-                    row = tuple(scratch)
-            result: Tuple[Row, ...] = (row,)
-            for child_index in child_indexes:
-                child_table = tables[child_index]
-                gathered = []
-                for c in range(cs, ce):
-                    found = child_table[c]
-                    if found:
-                        gathered.extend(found)
-                if not gathered:
-                    result = _EMPTY
-                    break
-                if len(gathered) > 1:
-                    gathered = list(dict.fromkeys(gathered))
-                result = _join_rows(result, gathered)
-                if not result:
-                    break
-            if result:
-                tables[index][v] = result
-    return tables
-
-
-def _evaluate_join(ops: Sequence[tuple], join_ops: Sequence[tuple],
-                   root: int, frozen: FrozenTree, base: Row,
-                   resolved: Sequence[tuple]) -> Tuple[Row, ...]:
-    """Set-at-a-time structural-join evaluation over the pre/post plane.
-
-    Node ops run in index order (children before parents), each over its
-    candidate seed only; results live in sparse ``{position: rows}`` maps.
-    ``/`` steps bisect the inner op's BFS-ascending position list into the
-    parent's contiguous child span (a merge join); collapsed ``//`` chains
-    bisect the inner matches sorted by pre rank into the parent's subtree
-    interval ``(pre[v], pre[v] + size[v])`` and filter by the chain's
-    depth floor (a skip-ahead staircase join).
-
-    Row-order parity with the recurrence is load-bearing, not cosmetic:
-    the recurrence's ``desc`` gathers enumerate inner matches in document
-    (pre-) order and its final gather walks positions ascending, and
-    downstream null allocation (`presolution._instantiate_std`) keys off
-    that enumeration order.  The join path reproduces both orders exactly
-    — candidate seeds are scanned ascending, staircase gathers ascend in
-    pre rank — so the two strategies return identical tuples in identical
-    order.  Returns the deduplicated match rows of the pattern root
-    (what :meth:`PatternPlan.matches` would gather from the recurrence's
-    tables).
+    ``desc(v)`` has rows exactly when ``v`` is a proper ancestor of an
+    inner match, so the table is sparse over those ancestors: walk
+    ``parents`` up from every match, deepest position first, until a node
+    already reached, then fill children before parents (descending BFS
+    positions), gathering each node's reached children in document order
+    and deduplicating with first occurrences kept.  Every ``desc(v)``
+    therefore lists the inner rows of ``v``'s proper descendants in pre
+    order — the order the chase's null allocation depends on.
     """
-    n = frozen.n
+    kids: Dict[int, List[int]] = {}
+    for w in sorted(inner_rows, reverse=True):
+        if w in kids:
+            continue  # already linked, on the walk up from a deeper match
+        parent = parents[w]
+        while parent >= 0:
+            siblings = kids.get(parent)
+            if siblings is not None:
+                siblings.append(w)
+                break
+            kids[parent] = [w]
+            w = parent
+            parent = parents[w]
+    table: Dict[int, Tuple[Row, ...]] = {}
+    for v in sorted(kids, reverse=True):
+        children = kids[v]
+        if len(children) > 1:
+            children.sort()
+        gathered: List[Row] = []
+        for c in children:
+            found = inner_rows.get(c)
+            if found:
+                gathered.extend(found)
+            found = table.get(c)
+            if found:
+                gathered.extend(found)
+        if len(gathered) > 1:
+            gathered = list(dict.fromkeys(gathered))
+        table[v] = tuple(gathered)
+    return table
+
+
+def _evaluate(frozen: FrozenTree, base: Row,
+              resolved: Sequence[tuple]) -> Tuple[Row, ...]:
+    """The deduplicated match rows of a pattern's root: a node root's by
+    BFS position, a ``//`` root's in pre order.
+
+    Ops run in index order (children before parents) and each fills a
+    sparse ``{position: rows}`` table:
+
+    * a **node op** scans only its candidate seed — ``nodes_by_label`` for
+      a labelled op, the smallest tested attribute table for a wildcard
+      with tests, every position otherwise — ascending, so its table
+      iterates in BFS order; each child op is then a merge join that
+      bisects the child table's sorted positions into ``v``'s contiguous
+      child span;
+    * a **desc op** is :func:`_desc_table` over its inner op's table;
+    * a **``//`` chain at the pattern root** (``k`` trailing desc ops,
+      see :mod:`repro.analysis.plancheck`) is never tabled: the chain
+      holds at the tree root exactly for the inner matches at depth
+      ``≥ k``, read off in pre order.
+
+    The row order is a contract, not an accident: the chase instantiates
+    STD targets row by row, so it decides which nulls a canonical solution
+    carries (``tests/test_join_plan.py`` locks it).
+    """
+    end = len(resolved)
+    hops = 0
+    while resolved[end - 1][0] == "desc":
+        end -= 1
+        hops += 1
+    parents = frozen.parents
     child_start = frozen.child_start
     child_end = frozen.child_end
-    nodes_by_label = frozen.nodes_by_label
-
-    count = len(ops)
-    rows_of: List[Optional[Dict[int, Tuple[Row, ...]]]] = [None] * count
-    poslist: List[Optional[List[int]]] = [None] * count
-    pre_sorted: List[Optional[List[int]]] = [None] * count
-    pre_keys: List[Optional[List[int]]] = [None] * count
-
-    # Node ops consumed through a staircase join need their matches
-    # projected onto the pre axis once (sorted positions + parallel keys).
-    staircase_inner: Set[int] = set()
-    for jop in join_ops:
-        if jop[0] == "desc":
-            staircase_inner.add(jop[1])
-        else:
-            for spec in jop[1]:
-                if spec[0] == "desc":
-                    staircase_inner.add(spec[1])
-    # The interval plane is only needed for staircase joins — a pure
-    # child-chain pattern (no ``//``) runs entirely on seeds and child
-    # spans, so a fresh snapshot never pays the plane build for it.
-    if staircase_inner:
-        pre, _post = frozen.pre_post()
-        depths = frozen.depths()
-        sizes = frozen.subtree_sizes()
-    else:
-        pre = depths = sizes = ()
-
-    for index, rop in enumerate(resolved):
-        if rop[0] != "node":
-            continue  # "desc" collapses into its consumers; "never" stays empty
-        _, rlabel, rconst, rvar, _child_indexes = rop
-        specs = join_ops[index][1]
-        # Candidate seed, always scanned in ascending BFS position so the
-        # output maps iterate in the recurrence's gather order.
+    tables: List[Dict[int, Tuple[Row, ...]]] = []
+    positions: List[List[int]] = []
+    for rop in resolved[:end]:
+        kind = rop[0]
+        if kind == "never":
+            tables.append({})
+            positions.append([])
+            continue
+        if kind == "desc":
+            table = _desc_table(tables[rop[1]], parents)
+            tables.append(table)
+            positions.append(sorted(table))
+            continue
+        _, rlabel, rconst, rvar, child_indexes = rop
         if rlabel >= 0:
-            candidates: Sequence[int] = nodes_by_label[rlabel]
+            candidates: Sequence[int] = frozen.nodes_by_label[rlabel]
         elif rconst or rvar:
             candidates = sorted(min((table for table, _ in rconst + rvar),
                                     key=len))
         else:
-            candidates = range(n)
+            candidates = range(frozen.n)
         out: Dict[int, Tuple[Row, ...]] = {}
         for v in candidates:
             ok = True
@@ -529,35 +362,21 @@ def _evaluate_join(ops: Sequence[tuple], join_ops: Sequence[tuple],
                 if scratch is not None:
                     row = tuple(scratch)
             result: Tuple[Row, ...] = (row,)
-            for spec in specs:
-                target = spec[1]
-                inner_rows = rows_of[target]
+            for child in child_indexes:
+                inner_rows = tables[child]
                 gathered: List[Row] = []
-                if inner_rows:
-                    if spec[0] == "child":
-                        cs = child_start[v]
-                        ce = child_end[v]
-                        if cs < ce:
-                            plist = poslist[target]
-                            i = bisect_left(plist, cs)
-                            stop = len(plist)
-                            while i < stop:
-                                c = plist[i]
-                                if c >= ce:
-                                    break
-                                gathered.extend(inner_rows[c])
-                                i += 1
-                    else:  # ("desc", target, k): staircase with depth floor
-                        keys = pre_keys[target]
-                        positions = pre_sorted[target]
-                        pv = pre[v]
-                        lo = bisect_right(keys, pv)
-                        hi = bisect_left(keys, pv + sizes[v])
-                        floor = depths[v] + 1 + spec[2]
-                        for j in range(lo, hi):
-                            w = positions[j]
-                            if depths[w] >= floor:
-                                gathered.extend(inner_rows[w])
+                cs = child_start[v]
+                ce = child_end[v]
+                if inner_rows and cs < ce:
+                    plist = positions[child]
+                    i = bisect_left(plist, cs)
+                    stop = len(plist)
+                    while i < stop:
+                        c = plist[i]
+                        if c >= ce:
+                            break
+                        gathered.extend(inner_rows[c])
+                        i += 1
                 if not gathered:
                     result = _EMPTY
                     break
@@ -568,31 +387,21 @@ def _evaluate_join(ops: Sequence[tuple], join_ops: Sequence[tuple],
                     break
             if result:
                 out[v] = result
-        rows_of[index] = out
-        poslist[index] = list(out)  # insertion order == ascending BFS
-        if index in staircase_inner:
-            ordered = sorted(out, key=pre.__getitem__)
-            pre_sorted[index] = ordered
-            pre_keys[index] = [pre[p] for p in ordered]
+        tables.append(out)
+        positions.append(list(out))  # insertion order == ascending BFS
 
-    # Final gather — replicates PatternPlan.matches over the recurrence's
-    # root table: positions ascending for a node root; for a `//` root the
-    # (deduplicated) table at the tree root already equals the inner
-    # matches in pre order with the chain's depth floor applied.
+    root_rows = tables[end - 1]
     gathered_all: List[Row] = []
-    root_jop = join_ops[root]
-    if root_jop[0] == "desc":
-        inner_rows = rows_of[root_jop[1]]
-        if inner_rows:
-            floor = root_jop[2]
-            for w in pre_sorted[root_jop[1]]:
-                if depths[w] >= floor:
-                    gathered_all.extend(inner_rows[w])
+    if hops:
+        if root_rows:
+            pre = frozen.pre_post()[0]
+            depths = frozen.depths()
+            for w in sorted(root_rows, key=pre.__getitem__):
+                if depths[w] >= hops:
+                    gathered_all.extend(root_rows[w])
     else:
-        inner_rows = rows_of[root]
-        if inner_rows:
-            for v in poslist[root]:
-                gathered_all.extend(inner_rows[v])
+        for found in root_rows.values():
+            gathered_all.extend(found)
     if len(gathered_all) > 1:
         gathered_all = list(dict.fromkeys(gathered_all))
     return tuple(gathered_all)
@@ -607,17 +416,13 @@ class PatternPlan:
     slots unbound).
     """
 
-    __slots__ = ("pattern", "ops", "join_ops", "root", "width", "slots",
+    __slots__ = ("pattern", "ops", "root", "width", "slots",
                  "variables", "verified", "_bind_cache")
 
     def __init__(self, pattern: TreePattern, ops: Tuple[tuple, ...],
                  root: int, width: int, slots: Dict[str, int]) -> None:
         self.pattern = pattern
         self.ops = ops
-        #: The structural-join program paired with ``ops`` (same indexes;
-        #: see :func:`_derive_join_ops`).  Derived once at compile time and
-        #: verified next to the recurrence ops by the plan verifier.
-        self.join_ops = _derive_join_ops(ops)
         self.root = root
         self.width = width
         self.slots = slots
@@ -637,13 +442,16 @@ class PatternPlan:
     # Pickling (plans travel inside compiled settings, to shard-host
     # workers and into the store): the per-tree bind cache is request-local
     # state — it stays behind and the receiver starts with an empty one.
+    # Restoring only current slot names lets stores written by older
+    # versions (whose plans carried fields since removed) still load.
     def __getstate__(self) -> Dict[str, Any]:
         return {name: getattr(self, name) for name in self.__slots__
                 if name != "_bind_cache"}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
+        for name in self.__slots__:
+            if name in state:
+                setattr(self, name, state[name])
         self._bind_cache = weakref.WeakKeyDictionary()
 
     def slot_of(self, name: str) -> int:
@@ -672,34 +480,15 @@ class PatternPlan:
                 stats: Optional[Any] = None) -> Tuple[Row, ...]:
         """All rows under which *some* node of ``frozen`` witnesses the
         pattern (the plan analogue of
-        :func:`~repro.patterns.evaluate.match_anywhere`), deduplicated.
-
-        The evaluation strategy — structural join vs bottom-up recurrence
-        — is picked per call (:func:`_pick_strategy`, overridable via
-        ``REPRO_EVAL_STRATEGY``); both return bit-identical rows in
-        bit-identical order.  ``stats`` (a
+        :func:`~repro.patterns.evaluate.match_anywhere`), deduplicated, in
+        the order :func:`_evaluate` fixes.  ``stats`` (a
         :class:`~repro.engine.stats.CacheStats`) records one
-        ``plan_join_runs`` / ``plan_recurrence_runs`` event per call.
+        ``plan_join_runs`` event per call.
         """
-        base = self._base_row(binding)
-        resolved = self._bound_ops(frozen)
-        strategy = _pick_strategy(resolved, frozen)
-        if strategy == "join":
-            if stats is not None:
-                stats.count("plan_join_runs")
-            return _evaluate_join(self.ops, self.join_ops, self.root,
-                                  frozen, base, resolved)
         if stats is not None:
-            stats.count("plan_recurrence_runs")
-        tables = _evaluate_ops(self.ops, frozen, self.width, base, resolved)
-        root_table = tables[self.root]
-        gathered: List[Row] = []
-        for found in root_table:
-            if found:
-                gathered.extend(found)
-        if len(gathered) > 1:
-            gathered = list(dict.fromkeys(gathered))
-        return tuple(gathered)
+            stats.count("plan_join_runs")
+        return _evaluate(frozen, self._base_row(binding),
+                         self._bound_ops(frozen))
 
     def assignments(self, frozen: FrozenTree,
                     binding: Optional[Mapping[str, Value]] = None,
@@ -876,8 +665,7 @@ class QueryPlan:
         """All satisfying assignments as slot rows (deduplicated).
 
         ``stats`` (a :class:`~repro.engine.stats.CacheStats`) receives one
-        ``plan_join_runs`` / ``plan_recurrence_runs`` event per atom
-        evaluated, recording which strategy served each pattern."""
+        ``plan_join_runs`` event per atom evaluated."""
         return self.node.rows(frozen, self.width, stats)
 
     def answers(self, frozen: FrozenTree,

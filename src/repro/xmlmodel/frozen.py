@@ -10,18 +10,17 @@ A :class:`FrozenTree` is a read-only snapshot of an
   a pattern's label test compiles to one ``int`` comparison and a missing
   label is detected once at bind time instead of per node;
 * ``nodes_by_label[label_id]`` indexes all nodes carrying a label (built
-  lazily on first use — the hook for candidate-driven matching of rooted
-  patterns, a ROADMAP follow-up);
+  lazily on first use) — the candidate seed of every labelled node op in
+  the plan evaluator of :mod:`repro.patterns.plan`;
 * attribute values live in per-attribute tables ``{node: value}`` keyed by
   the interned attribute id — one dict lookup per attribute test;
-* ``post_order`` is a precomputed bottom-up evaluation order (every node
-  after all of its descendants), which is what the compiled recurrence
-  evaluator in :mod:`repro.patterns.plan` iterates;
+* ``post_order`` is a precomputed bottom-up order (every node after all
+  of its descendants), which the fingerprint fold iterates;
 * :meth:`pre_post` derives (and caches) the **pre/post interval plane** of
   the XPath-accelerator encoding — the single source of truth shared by
-  the storage record encoder (:mod:`repro.storage.encoding`) and the
-  structural-join evaluator; :meth:`depths` and :meth:`subtree_sizes` are
-  the companion columns the join evaluator ranges over;
+  the storage record encoder (:mod:`repro.storage.encoding`) and the plan
+  evaluator, which reads a root ``//`` chain off it in pre order with the
+  companion :meth:`depths` column;
 * :meth:`fingerprint` is computed **iteratively** and cached, and equals
   ``XMLTree.fingerprint()`` of the snapshotted tree — frozen and mutable
   views of the same document share cache identity.
@@ -90,7 +89,7 @@ class FrozenTree:
         "attr_names", "attr_ids", "attr_tables",
         "orig_ids",
         "_by_label", "_fingerprint",
-        "_pre_post", "_depths", "_sizes",
+        "_pre_post", "_depths",
         # Weak-referenceable: compiled pattern plans key their per-tree
         # bind caches on the snapshot without pinning it alive.
         "__weakref__",
@@ -121,16 +120,14 @@ class FrozenTree:
         self._pre_post: Optional[Tuple[Tuple[int, ...],
                                        Tuple[int, ...]]] = None
         self._depths: Optional[Tuple[int, ...]] = None
-        self._sizes: Optional[Tuple[int, ...]] = None
 
     @property
     def nodes_by_label(self) -> Tuple[Tuple[int, ...], ...]:
         """``nodes_by_label[label_id]``: every node position carrying the
         label, ascending.  Built lazily on first use and cached — the
         snapshot is immutable.  This is the candidate seed of the
-        structural-join evaluator in :mod:`repro.patterns.plan` (a node op
-        with a selective label scans these positions instead of every
-        node)."""
+        plan evaluator in :mod:`repro.patterns.plan` (a node op with a
+        selective label scans these positions instead of every node)."""
         if self._by_label is None:
             index: List[List[int]] = [[] for _ in self.label_names]
             for pos, lid in enumerate(self.labels):
@@ -142,8 +139,8 @@ class FrozenTree:
         """The cached ``(pre, post)`` interval columns of this snapshot.
 
         Computed once per tree (:func:`compute_pre_post`) and shared by
-        every consumer — the structural-join evaluator ranges over them per
-        query, and the storage encoder persists the very same columns, so
+        every consumer — the plan evaluator orders root ``//`` matches by
+        them, and the storage encoder persists the very same columns, so
         freezing + ingesting a document never derives the plane twice.  The
         store's decoder seeds this cache from the record sections.
         """
@@ -162,21 +159,6 @@ class FrozenTree:
                 depths[pos] = depths[parents[pos]] + 1
             self._depths = tuple(depths)
         return self._depths
-
-    def subtree_sizes(self) -> Tuple[int, ...]:
-        """Inclusive subtree node counts (cached; one backward pass).
-
-        With the pre ranks of :meth:`pre_post`, the descendants of ``v``
-        are exactly the positions whose pre rank falls in the half-open
-        interval ``(pre[v], pre[v] + size[v])`` — the right bound of every
-        staircase-join range."""
-        if self._sizes is None:
-            sizes = [1] * self.n
-            parents = self.parents
-            for pos in range(self.n - 1, 0, -1):
-                sizes[parents[pos]] += sizes[pos]
-            self._sizes = tuple(sizes)
-        return self._sizes
 
     # ------------------------------------------------------------------ #
     # Construction

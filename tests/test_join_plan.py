@@ -1,16 +1,20 @@
-"""The structural-join evaluator: adversarial parity, strategy routing,
-bind caching and the accounting/plumbing the tentpole added around it.
+"""The plan evaluator: adversarial shapes, row order, bind caching and
+the accounting/plumbing around it.
 
-The generated property sweep (tests/test_properties_generated.py) forces
-both strategies across hundreds of scenarios, but its queries are linear
-root-down paths — no ``//``, no wildcard.  This file attacks exactly the
-shapes the sweep cannot reach: nested descendant chains, descendant arms
-under branching nodes, wildcard ops seeded from attribute tables, empty
-``nodes_by_label`` seeds, and union arms of mixed selectivity — each
-checked for *ordered* row parity (downstream null allocation depends on
-row order, not only the row set) plus interpreter agreement.
+The generated property sweep (tests/test_properties_generated.py) checks
+plans against the interpreter across hundreds of scenarios, but its
+queries are linear root-down paths — no ``//``, no wildcard.  This file
+attacks exactly the shapes the sweep cannot reach: nested descendant
+chains, descendant arms under branching nodes, wildcard ops seeded from
+attribute tables, empty ``nodes_by_label`` seeds, union arms of mixed
+selectivity and a deep narrow chain — each checked against the
+interpreter.  Interpreter parity only compares row *sets*; the chase's
+null allocation depends on the row *order*, which ``TestRowOrderLock``
+pins.
 """
 
+import copyreg
+import hashlib
 import pickle
 import random
 
@@ -19,11 +23,11 @@ import pytest
 from repro import ExchangeEngine, XMLTree
 from repro.engine.stats import CacheStats
 from repro.exchange import canonical_solution
-from repro.generators import generate_scenario
+from repro.generators import SCENARIO_PROFILES, generate_scenario
 from repro.patterns import (assignment_key, compile_pattern, compile_query,
                             descendant, match_anywhere, node, pattern_query,
                             union_query, wildcard)
-from repro.patterns.plan import _pick_strategy
+from repro.patterns.plan import PatternPlan
 from repro.storage.encoding import (decode_document, decode_intervals,
                                     encode_document)
 from repro.workloads import library
@@ -50,9 +54,21 @@ def _random_tree(seed: int, size: int = 60) -> XMLTree:
     return tree
 
 
+def _chain_tree(length: int = 300) -> XMLTree:
+    """A deep narrow chain: ``db`` over ``length - 1`` nested ``row``
+    nodes, each carrying ``k`` (the worst case of a ``//`` evaluator that
+    enumerates descendant sets)."""
+    tree = XMLTree("db", ordered=False)
+    current = tree.root
+    for index in range(length - 1):
+        current = tree.add_child(current, "row")
+        tree.set_attribute(current, "k", str(index % 7))
+    return tree
+
+
 #: The shapes the generated sweep cannot produce.
 ADVERSARIAL_PATTERNS = [
-    # Nested // chain (collapses to one staircase with a depth floor).
+    # Nested // chain at the pattern root (read off in pre order).
     descendant(descendant(node("author", {"name": "$n"}))),
     # // chain as the child of a selective node.
     node("db", None, descendant(node("author", {"name": "$n"}))),
@@ -71,27 +87,35 @@ ADVERSARIAL_PATTERNS = [
     node("db", None, descendant(node("book")), descendant(node("row"))),
 ]
 
+#: Nested // over a deep chain: every node is an ancestor of a match.
+CHAIN_PATTERNS = [
+    descendant(wildcard(None, descendant(wildcard()))),
+    node("row", None, descendant(node("row"))),
+    node("db", None, descendant(wildcard(None, descendant(wildcard())))),
+    descendant(node("row", {"k": "$x"})),
+]
+
+
+def _assert_interpreter_parity(tree, patterns, context):
+    frozen = tree.freeze()
+    for pattern in patterns:
+        plan = compile_pattern(pattern)
+        interpreted = sorted(map(assignment_key,
+                                 match_anywhere(tree, pattern)))
+        planned = sorted(map(assignment_key, plan.assignments(frozen)))
+        assert planned == interpreted, f"{context} pattern={pattern}"
+
 
 class TestAdversarialParity:
     @pytest.mark.parametrize("seed", range(12))
-    def test_join_equals_recurrence_rowwise(self, seed, monkeypatch):
-        tree = _random_tree(seed)
-        frozen = tree.freeze()
-        for pattern in ADVERSARIAL_PATTERNS:
-            plan = compile_pattern(pattern)
-            monkeypatch.setenv("REPRO_EVAL_STRATEGY", "join")
-            joined = plan.matches(frozen)
-            monkeypatch.setenv("REPRO_EVAL_STRATEGY", "recurrence")
-            recurred = plan.matches(frozen)
-            monkeypatch.delenv("REPRO_EVAL_STRATEGY")
-            # Ordered tuple equality: bit-identical rows, bit-identical order.
-            assert joined == recurred, f"seed={seed} pattern={pattern}"
-            interpreted = sorted(map(assignment_key,
-                                     match_anywhere(tree, pattern)))
-            planned = sorted(map(assignment_key, plan.assignments(frozen)))
-            assert planned == interpreted, f"seed={seed} pattern={pattern}"
+    def test_plan_equals_interpreter(self, seed):
+        _assert_interpreter_parity(_random_tree(seed), ADVERSARIAL_PATTERNS,
+                                   f"seed={seed}")
 
-    def test_union_arms_of_mixed_selectivity(self, monkeypatch):
+    def test_deep_chain_equals_interpreter(self):
+        _assert_interpreter_parity(_chain_tree(), CHAIN_PATTERNS, "chain")
+
+    def test_union_arms_of_mixed_selectivity(self):
         tree = _random_tree(99, size=120)
         frozen = tree.freeze()
         query = union_query(
@@ -99,49 +123,98 @@ class TestAdversarialParity:
             pattern_query(descendant(node("row", {"name": "$n"}))),
         )
         plan = compile_query(query)
-        monkeypatch.setenv("REPRO_EVAL_STRATEGY", "join")
-        joined = plan.rows(frozen)
-        monkeypatch.setenv("REPRO_EVAL_STRATEGY", "recurrence")
-        recurred = plan.rows(frozen)
-        monkeypatch.delenv("REPRO_EVAL_STRATEGY")
-        assert joined == recurred
-        # Under "auto" the arms may route differently; answers must not care.
         stats = CacheStats()
-        auto_rows = plan.rows(frozen, stats=stats)
-        assert auto_rows == joined
-        assert (stats.counts("plan_join_runs")
-                + stats.counts("plan_recurrence_runs")) == 2  # one per arm
+        assert plan.answers(frozen, stats=stats) == query.answers(tree)
+        assert stats.counts("plan_join_runs") == 2  # one per arm
 
-    def test_rare_label_on_wide_tree_routes_to_join(self):
-        tree = XMLTree("db", ordered=False)
-        for _ in range(400):
-            tree.add_child(tree.root, "row")
-        shelf = tree.add_child(tree.root, "shelf")
-        book = tree.add_child(shelf, "book")
-        tree.set_attribute(tree.add_child(book, "author"), "name", "A")
-        frozen = tree.freeze()
-        plan = compile_pattern(
-            node("shelf", None, node("book", None,
-                                     node("author", {"name": "$n"}))))
-        assert _pick_strategy(plan._bound_ops(frozen), frozen) == "join"
-        stats = CacheStats()
-        rows = plan.matches(frozen, stats=stats)
-        assert stats.counts("plan_join_runs") == 1
-        assert stats.counts("plan_recurrence_runs") == 0
-        assert [row[plan.slot_of("n")] for row in rows] == ["A"]
 
-    def test_wildcard_heavy_pattern_routes_to_recurrence(self):
-        tree = _random_tree(3)
-        frozen = tree.freeze()
-        plan = compile_pattern(wildcard(None, wildcard()))
-        assert _pick_strategy(plan._bound_ops(frozen), frozen) == "recurrence"
+def _order_tree() -> XMLTree:
+    """A hand-built tree whose BFS and document orders disagree (and
+    whose deepest author sits under a later sibling)::
 
-    def test_invalid_strategy_override_raises(self, monkeypatch):
-        plan = compile_pattern(node("db"))
-        frozen = XMLTree("db").freeze()
-        monkeypatch.setenv("REPRO_EVAL_STRATEGY", "quantum")
-        with pytest.raises(ValueError, match="REPRO_EVAL_STRATEGY"):
-            plan.matches(frozen)
+        db ─┬─ shelf(name=A) ── box ─┬─ book(title=T2) ── author(name=A)
+            │                        └─ crate ── book(title=T4) ──
+            │                                    author(name=D)
+            ├─ book(title=T3) ── author(name=B)
+            └─ shelf(name=B) ── book(title=T1) ── author(name=C)
+    """
+    tree = XMLTree("db", ordered=False)
+
+    def add(parent, label, **attrs):
+        child = tree.add_child(parent, label)
+        for name, value in attrs.items():
+            tree.set_attribute(child, name, value)
+        return child
+
+    box = add(add(tree.root, "shelf", name="A"), "box")
+    add(add(box, "book", title="T2"), "author", name="A")
+    add(add(add(box, "crate"), "book", title="T4"), "author", name="D")
+    add(add(tree.root, "book", title="T3"), "author", name="B")
+    shelf_b = add(tree.root, "shelf", name="B")
+    add(add(shelf_b, "book", title="T1"), "author", name="C")
+    return tree
+
+
+#: SHA-256 over the canonical-solution fingerprints of
+#: ``generate_scenario(0..99)`` for every profile ("-" when no solution
+#: exists), as computed when the plan evaluator still had a second,
+#: independently written strategy to agree with.
+CANONICAL_FINGERPRINTS_SHA256 = \
+    "8455fec4266ffa805d89d443cdd6df473835beb2b2c70eba384c43c071192b96"
+
+
+class TestRowOrderLock:
+    """Rows come out deduplicated in a fixed order — node-rooted patterns
+    by BFS position, ``//`` results in document (pre) order — and the
+    chase allocates nulls in that order, so the order is part of the
+    contract, not an implementation detail."""
+
+    def _values(self, plan, rows, *names):
+        slots = [plan.slot_of(name) for name in names]
+        return [tuple(row[slot] for slot in slots) for row in rows]
+
+    def test_node_rooted_rows_in_bfs_order(self):
+        plan = compile_pattern(node("book", {"title": "$t"},
+                                    node("author", {"name": "$n"})))
+        rows = plan.matches(_order_tree().freeze())
+        assert self._values(plan, rows, "t", "n") == [
+            ("T3", "B"), ("T1", "C"), ("T2", "A"), ("T4", "D")]
+
+    def test_descendant_rooted_rows_in_document_order(self):
+        plan = compile_pattern(descendant(node("author", {"name": "$n"})))
+        rows = plan.matches(_order_tree().freeze())
+        assert self._values(plan, rows, "n") == [
+            ("A",), ("D",), ("B",), ("C",)]
+
+    def test_descendant_child_rows_in_document_order(self):
+        plan = compile_pattern(node("shelf", {"name": "$s"},
+                                    descendant(node("author",
+                                                    {"name": "$n"}))))
+        rows = plan.matches(_order_tree().freeze())
+        assert self._values(plan, rows, "s", "n") == [
+            ("A", "A"), ("A", "D"), ("B", "C")]
+
+    def test_union_rows_arm_by_arm(self):
+        plan = compile_query(union_query(
+            pattern_query(descendant(node("author", {"name": "$n"}))),
+            pattern_query(node("book", {"title": "$n"}))))
+        rows = plan.rows(_order_tree().freeze())
+        slot = plan.free_slots[0]
+        assert [row[slot] for row in rows] == [
+            "A", "D", "B", "C", "T3", "T1", "T2", "T4"]
+
+    def test_canonical_solution_fingerprints_locked(self):
+        fingerprints = []
+        for profile in SCENARIO_PROFILES:
+            for seed in range(100):
+                scenario = generate_scenario(seed, profile=profile)
+                for tree in scenario.source_trees:
+                    solved = canonical_solution(scenario.setting, tree)
+                    fingerprints.append(solved.tree.fingerprint()
+                                        if solved.success else "-")
+        assert len(fingerprints) == 900
+        digest = hashlib.sha256("\n".join(fingerprints).encode())
+        assert digest.hexdigest() == CANONICAL_FINGERPRINTS_SHA256
 
 
 class TestBindCache:
@@ -162,7 +235,7 @@ class TestBindCache:
         del frozen
         assert len(plan._bind_cache) == 0  # weakly keyed
 
-    def test_pickle_drops_bind_cache_keeps_join_ops(self):
+    def test_pickle_drops_bind_cache(self):
         plan = compile_pattern(
             node("db", None, descendant(node("author", {"name": "$n"}))))
         tree = _random_tree(4)
@@ -170,26 +243,40 @@ class TestBindCache:
         before = plan.matches(frozen)
         clone = pickle.loads(pickle.dumps(plan))
         assert len(clone._bind_cache) == 0
-        assert clone.join_ops == plan.join_ops
         assert clone.matches(frozen) == before
+
+    def test_unpickles_state_with_retired_fields(self):
+        """Stores persist compiled settings as pickles, so a plan pickled
+        by an older version — whose state still carries the retired
+        ``join_ops`` program — must load and evaluate identically."""
+        plan = compile_pattern(
+            node("db", None, descendant(node("author", {"name": "$n"}))))
+        state = plan.__getstate__()
+        state["join_ops"] = (("node", ()), ("desc", 0, 1),
+                             ("node", (("desc", 0, 1),)))
+
+        class OlderPickle:  # unpickles as a PatternPlan fed ``state``
+            def __reduce__(self):
+                return copyreg._reconstructor, (PatternPlan, object,
+                                                None), state
+
+        clone = pickle.loads(pickle.dumps(OlderPickle()))
+        assert isinstance(clone, PatternPlan)
+        frozen = _random_tree(4).freeze()
+        assert clone.matches(frozen) == plan.matches(frozen)
 
 
 class TestEngineAccounting:
-    def test_engine_result_cache_carries_strategy_counters(self):
+    def test_engine_result_cache_carries_plan_run_counter(self):
         engine = ExchangeEngine(library.library_setting())
         tree = library.figure_1_source()
         query = library.query_writer_of("Computational Complexity")
         result = engine.certain_answers(tree, query)
         assert result.ok
-        assert "plan_join_runs" in result.cache
-        assert "plan_recurrence_runs" in result.cache
-        runs = (result.cache["plan_join_runs"]
-                + result.cache["plan_recurrence_runs"])
-        assert runs > 0  # STD source plans + the query's atoms all counted
+        # STD source plans + the query's atoms all counted.
+        assert result.cache["plan_join_runs"] > 0
         summary = engine.stats_summary()
         assert summary.plan_join_runs == result.cache["plan_join_runs"]
-        assert summary.plan_recurrence_runs == \
-            result.cache["plan_recurrence_runs"]
 
     def test_generated_scenario_counters_accumulate(self):
         scenario = generate_scenario(7)
@@ -197,11 +284,7 @@ class TestEngineAccounting:
         for tree in scenario.source_trees:
             for query in scenario.queries:
                 engine.certain_answers(tree, query)
-        stats = engine.stats
-        assert stats["plan_join_runs"] + stats["plan_recurrence_runs"] > 0
-        # Counters only ever come from CacheStats events: both keys exist
-        # even when one strategy never fired.
-        assert set(["plan_join_runs", "plan_recurrence_runs"]) <= set(stats)
+        assert engine.stats["plan_join_runs"] > 0
 
 
 class TestPrePostPlane:
@@ -212,9 +295,7 @@ class TestPrePostPlane:
         assert frozen.pre_post() is frozen._pre_post  # computed once
         assert sorted(pre) == list(range(frozen.n))
         assert sorted(post) == list(range(frozen.n))
-        depths = frozen.depths()
-        sizes = frozen.subtree_sizes()
-        assert sizes[0] == frozen.n and depths[0] == 0
+        assert frozen.depths()[0] == 0
         # pre/post plane vs the parent chain, exhaustively.
         def ancestors(pos):
             chain = set()
@@ -226,11 +307,6 @@ class TestPrePostPlane:
             plane = {v for v in range(frozen.n)
                      if pre[v] < pre[w] and post[v] > post[w]}
             assert plane == ancestors(w), f"node {w}"
-        # Descendant intervals: exactly size[v]-1 proper descendants.
-        for v in range(frozen.n):
-            in_interval = sum(1 for w in range(frozen.n)
-                              if pre[v] < pre[w] < pre[v] + sizes[v])
-            assert in_interval == sizes[v] - 1
 
     def test_storage_roundtrip_seeds_the_plane(self):
         frozen = _random_tree(12).freeze()

@@ -126,6 +126,13 @@ class TestRejectsCorruptedPlans:
         with pytest.raises(PlanVerificationError, match="root op index"):
             verify_plan(plan)
 
+    def test_root_chain_not_trailing(self):
+        plan = compile_pattern(descendant(node("db", None, node("book"))))
+        assert plan.ops[-1] == ("desc", len(plan.ops) - 2)
+        plan.ops = plan.ops[:-1] + (("desc", 0),)
+        with pytest.raises(PlanVerificationError, match="trailing ops"):
+            verify_plan(plan)
+
     def test_aliased_slots(self):
         plan = compile_pattern(node("book", {"title": "$t",
                                              "year": "$y"}))

@@ -167,57 +167,6 @@ def test_plan_interpreter_parity(scenarios):
     assert checked >= SCENARIO_COUNT
 
 
-def test_forced_strategy_parity(scenarios, monkeypatch):
-    """Tentpole lock: forcing ``REPRO_EVAL_STRATEGY`` each way, the
-    structural-join evaluator returns bit-identical rows in bit-identical
-    order to the bottom-up recurrence on every generated pair — and the
-    full solve pipeline (chase null allocation included) produces
-    fingerprint-identical canonical solutions and equal certain answers
-    under either strategy.  (Generated queries are descendant-free;
-    adversarial ``//``/wildcard coverage lives in ``test_join_plan.py``.)"""
-    checked = 0
-    for scenario in scenarios:
-        for tree in scenario.source_trees:
-            frozen = tree.freeze()
-            for query in scenario.queries:
-                context = (f"{scenario.describe()} tree={tree.fingerprint()} "
-                           f"query={query.fingerprint()}")
-                plan = compile_query(query)
-                monkeypatch.setenv("REPRO_EVAL_STRATEGY", "join")
-                join_rows = plan.rows(frozen)
-                monkeypatch.setenv("REPRO_EVAL_STRATEGY", "recurrence")
-                recurrence_rows = plan.rows(frozen)
-                monkeypatch.delenv("REPRO_EVAL_STRATEGY")
-                # Ordered equality: downstream null allocation depends on
-                # row *order*, not only the row set.
-                assert join_rows == recurrence_rows, context
-                checked += 1
-    assert checked >= SCENARIO_COUNT
-
-
-def test_forced_strategy_solve_parity(scenarios, monkeypatch):
-    """The end-to-end pipeline is strategy-blind: canonical solutions come
-    out fingerprint-identical and certain answers equal whichever evaluator
-    serves the STD source plans and the query."""
-    for scenario in scenarios[:max(25, SCENARIO_COUNT // 4)]:
-        for tree in scenario.source_trees:
-            for query in scenario.queries:
-                context = (f"{scenario.describe()} tree={tree.fingerprint()} "
-                           f"query={query.fingerprint()}")
-                monkeypatch.setenv("REPRO_EVAL_STRATEGY", "join")
-                via_join = certain_answers(scenario.setting, tree, query)
-                monkeypatch.setenv("REPRO_EVAL_STRATEGY", "recurrence")
-                via_recurrence = certain_answers(scenario.setting, tree,
-                                                 query)
-                monkeypatch.delenv("REPRO_EVAL_STRATEGY")
-                assert via_join.has_solution == \
-                    via_recurrence.has_solution, context
-                assert via_join.answers == via_recurrence.answers, context
-                if via_join.has_solution:
-                    assert via_join.canonical.fingerprint() == \
-                        via_recurrence.canonical.fingerprint(), context
-
-
 def test_functional_consistency_matches_engine(scenarios):
     """The engine's strategy routing returns the same verdict as the
     functional front door on every generated setting."""
