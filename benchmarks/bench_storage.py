@@ -163,10 +163,10 @@ def main(argv=None) -> int:
 
         # Gate: exact store accounting — a fully resolved pass has zero
         # misses, and an absent fingerprint is a typed error.
-        stats = engine.stats_summary()
-        if stats.store_misses != 0 or stats.store_hits < len(trees):
-            failures.append(f"counters: store_hits={stats.store_hits} "
-                            f"store_misses={stats.store_misses} after a "
+        stats = engine.stats
+        if stats["store_misses"] != 0 or stats["store_hits"] < len(trees):
+            failures.append(f"counters: store_hits={stats['store_hits']} "
+                            f"store_misses={stats['store_misses']} after a "
                             f"fully resolved pass over {len(trees)} docs")
         try:
             engine.certain_answers("ab" * 32, query)

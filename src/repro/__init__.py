@@ -55,7 +55,7 @@ For a long-lived process serving many settings, hold one
 """
 
 from . import generators, service
-from .engine import (CacheStats, CompiledSetting, EngineResult, EngineStats,
+from .engine import (CacheStats, CompiledSetting, EngineResult,
                      ExchangeEngine, compile_setting)
 from .exchange import (STD, CertainAnswers, ChaseError, ChaseResult,
                        DataExchangeSetting, ExchangeError, NoSolutionError,
@@ -88,7 +88,7 @@ __all__ = [
     "FrozenTree", "PatternPlan", "QueryPlan", "PlanCache",
     "compile_pattern", "compile_query",
     # engine
-    "ExchangeEngine", "EngineResult", "EngineStats", "CompiledSetting",
+    "ExchangeEngine", "EngineResult", "CompiledSetting",
     "compile_setting", "CacheStats",
     # generators
     "generators",

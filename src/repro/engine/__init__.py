@@ -15,7 +15,7 @@ delegates to it while handing over the compiled fast path.
 
 from .compiled import CompiledSetting, compile_setting
 from .engine import EngineResult, ExchangeEngine
-from .stats import CacheStats, EngineStats
+from .stats import CacheStats, merge_counts
 
 __all__ = ["CacheStats", "CompiledSetting", "compile_setting",
-           "EngineResult", "EngineStats", "ExchangeEngine"]
+           "EngineResult", "ExchangeEngine", "merge_counts"]

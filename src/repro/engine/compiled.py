@@ -109,11 +109,11 @@ class CompiledSetting:
         self.std_source_plans: List[PatternPlan] = [
             compile_pattern(dep.source) for dep in setting.stds]
         #: Bounded LRU of per-query evaluation plans, keyed by
-        #: ``Query.fingerprint()``.  Hits/misses/evictions are recorded into
-        #: this setting's :class:`CacheStats` as ``plan_cache_*``, so they
-        #: surface in every ``EngineResult.cache`` snapshot, in
-        #: ``ExchangeEngine.stats_summary()`` and in the serving layer's
-        #: shard/registry stats.
+        #: ``Query.fingerprint()``.  Hits/misses/evictions are recorded once,
+        #: into this setting's :class:`CacheStats`, as ``plan_cache_*``, so
+        #: they surface in ``ExchangeEngine.stats`` (every
+        #: ``EngineResult.cache``) and in the serving layer's shard and
+        #: registry views.
         self.plan_cache = PlanCache(maxsize=plan_cache_maxsize,
                                     stats=self.stats)
 

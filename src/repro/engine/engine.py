@@ -18,7 +18,7 @@ keyed by ``(tree_fingerprint, query_fingerprint, variable_order)``: repeated
 ``certain_answers`` requests for the same tree and query are served without
 re-chasing.  Hits and misses are surfaced through the ``cache`` snapshot of
 every :class:`EngineResult` (``result_cache_hits`` / ``result_cache_misses``)
-and through :meth:`ExchangeEngine.stats_summary`.  Only *results* are cached
+and through :attr:`ExchangeEngine.stats`.  Only *results* are cached
 — including "no solution" outcomes — never exceptions: a call that raises
 (:class:`~repro.exchange.errors.ChaseError`, a precondition ``ValueError``)
 is recomputed, and re-raises, every time.
@@ -39,7 +39,8 @@ LRU of thawed trees and then the attached
 Resolutions are counted on the store's ``CacheStats`` (``store_hits`` /
 ``store_misses``; ``store_bytes`` moves only when record bytes are
 actually read off the heap) and surface in every result's ``cache``
-snapshot and in :meth:`stats_summary`.
+snapshot, which is :attr:`ExchangeEngine.stats` — the engine's one stats
+view.
 """
 
 from __future__ import annotations
@@ -62,12 +63,12 @@ from ..patterns.queries import Query
 from ..xmlmodel.tree import XMLTree
 from ..xmlmodel.values import NullFactory
 from .compiled import CompiledSetting, compile_setting
-from .stats import CacheStats, EngineStats
+from .stats import CacheStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..storage import CorpusStore
 
-__all__ = ["EngineResult", "EngineStats", "ExchangeEngine"]
+__all__ = ["EngineResult", "ExchangeEngine"]
 
 #: A per-tree operand: the document itself, or — with a store attached —
 #: its fingerprint.
@@ -75,6 +76,15 @@ TreeRef = Union[XMLTree, str]
 
 #: Strategy names accepted by :meth:`ExchangeEngine.check_consistency`.
 CONSISTENCY_STRATEGIES = ("auto", "nested_relational", "general")
+
+#: Counters every :attr:`ExchangeEngine.stats` view carries, reading 0
+#: until they move — with or without a store attached, so the view's key
+#: set never depends on how the engine is deployed.
+_ENGINE_COUNTERS = ("result_cache_hits", "result_cache_misses",
+                    "result_cache_evictions", "plan_cache_hits",
+                    "plan_cache_misses", "plan_cache_evictions",
+                    "plan_join_runs", "store_hits", "store_misses",
+                    "store_bytes")
 
 
 @dataclass
@@ -97,8 +107,9 @@ class EngineResult:
     ``elapsed``
         Wall-clock seconds spent inside the engine for this request.
     ``cache``
-        :meth:`CompiledSetting.cache_stats` snapshot taken after the request
-        (cumulative counters; diff two snapshots to see per-request reuse).
+        The engine's :attr:`~ExchangeEngine.stats` view taken after the
+        request (cumulative counters; diff two snapshots to see
+        per-request reuse).
     ``raw``
         The underlying functional-API result object
         (:class:`ConsistencyResult`, :class:`ChaseResult`,
@@ -242,51 +253,25 @@ class ExchangeEngine:
 
     @property
     def stats(self) -> Dict[str, int]:
-        """Cumulative cache statistics: the compiled setting's caches merged
-        with the engine-level result cache counters (and, with a store
-        attached, the store's resolution counters)."""
-        merged = self.compiled.cache_stats()
-        merged.update(self._engine_stats.snapshot())
+        """The engine's one stats view, cumulative: the declared counters,
+        the compiled setting's caches, the result cache, the attached
+        store's resolution counters and the live entry counts
+        ``result_cache_entries`` / ``plan_cache_entries``.  Every
+        :class:`EngineResult` carries it as ``cache``."""
+        view = dict.fromkeys(_ENGINE_COUNTERS, 0)
+        view.update(self.compiled.cache_stats())
+        view.update(self._engine_stats.snapshot())
         if self._store is not None:
-            # Read the three store counters directly rather than through
-            # snapshot(): this runs per EngineResult on every shard engine
-            # sharing one store handle, and the full sorted/formatted
-            # snapshot is measurably slower on the warm request path.
-            # Store-less engines skip the keys entirely (readers treat the
-            # absence as zero) — the warm cached path stays as cheap as it
-            # was before the storage layer existed.
+            # Three direct reads, not snapshot(): this view is built for
+            # every EngineResult, and the sorted, formatted snapshot of the
+            # store's counters costs measurably more on a warm cache hit.
             stats = self._store.stats
-            merged["store_hits"] = stats.hits("store")
-            merged["store_misses"] = stats.misses("store")
-            merged["store_bytes"] = stats.counts("store_bytes")
-        merged.setdefault("result_cache_hits", 0)
-        merged.setdefault("result_cache_misses", 0)
-        merged.setdefault("result_cache_evictions", 0)
-        merged.setdefault("plan_cache_hits", 0)
-        merged.setdefault("plan_cache_misses", 0)
-        merged.setdefault("plan_cache_evictions", 0)
-        merged.setdefault("plan_join_runs", 0)
-        return merged
-
-    def stats_summary(self) -> EngineStats:
-        """The engine's counters as a structured :class:`EngineStats`."""
-        counters = self.stats
-        return EngineStats(
-            requests=self.requests,
-            result_cache_hits=counters["result_cache_hits"],
-            result_cache_misses=counters["result_cache_misses"],
-            result_cache_entries=len(self._results),
-            result_cache_evictions=counters["result_cache_evictions"],
-            result_cache_maxsize=self.result_cache_maxsize,
-            plan_cache_hits=counters["plan_cache_hits"],
-            plan_cache_misses=counters["plan_cache_misses"],
-            plan_cache_evictions=counters["plan_cache_evictions"],
-            plan_cache_entries=len(self.compiled.plan_cache),
-            plan_join_runs=counters["plan_join_runs"],
-            store_hits=counters.get("store_hits", 0),
-            store_misses=counters.get("store_misses", 0),
-            store_bytes=counters.get("store_bytes", 0),
-            counters=counters)
+            view["store_hits"] = stats.hits("store")
+            view["store_misses"] = stats.misses("store")
+            view["store_bytes"] = stats.counts("store_bytes")
+        view["result_cache_entries"] = len(self._results)
+        view["plan_cache_entries"] = len(self.compiled.plan_cache)
+        return view
 
     def clear_result_cache(self) -> None:
         """Drop every cached result (counters are kept)."""

@@ -1,62 +1,45 @@
-"""Cache-hit/miss accounting for compiled settings and engines.
+"""The one counter plane: :class:`CacheStats` and :func:`merge_counts`.
 
 A :class:`CacheStats` object is a small named-counter registry.  Every cache
-owned by a :class:`~repro.engine.compiled.CompiledSetting` records its hits
-and misses here, so callers (and the test-suite) can *prove* that a warm
-engine reuses precompiled state instead of rebuilding it — e.g. that a second
+in the system — the compiled setting's plan and consistency caches, the
+engine's result cache, the registry's compiled-settings LRU, the corpus
+store — records each hit, miss and eviction here exactly once (the DTD
+rule caches keep their own counts, which :meth:`CacheStats.set_counts`
+copies in), so callers (and the test-suite) can *prove* that a warm engine
+reuses precompiled state instead of rebuilding it — e.g. that a second
 ``certain_answers`` call performs zero NFA recompilations.
+
+Every stats view is a flat ``{name: number}`` dict built from
+:meth:`CacheStats.snapshot` results (``ExchangeEngine.stats``,
+``Shard.stats()``, ``SettingRegistry.stats()``); views of disjoint slices —
+several shards' plan caches, several shard-host workers — are summed by
+:func:`merge_counts`, never by hand.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
-__all__ = ["CacheStats", "EngineStats"]
+__all__ = ["CacheStats", "merge_counts"]
 
 
-@dataclass(frozen=True)
-class EngineStats:
-    """A point-in-time summary of one :class:`~repro.engine.ExchangeEngine`.
+def merge_counts(*views: Mapping[str, Any]) -> Dict[str, Any]:
+    """Sum flat stats views key by key.
 
-    ``result_cache_*`` counters describe the engine-level result cache keyed
-    by ``(tree_fingerprint, query_fingerprint)``; ``plan_cache_*`` counters
-    describe the compiled setting's query-plan cache keyed by
-    ``Query.fingerprint()`` (a warm engine evaluates every repeated query
-    through a cached plan — ``plan_cache_misses`` stops moving after the
-    first evaluation of each query); ``counters`` is the full merged
-    snapshot (compiled-setting caches plus engine caches) that every
-    :class:`~repro.engine.EngineResult` also carries in its ``cache`` field.
-    ``result_cache_maxsize`` is ``None`` for an unbounded cache (the batch-job
-    default); a bounded cache reports LRU evictions in
-    ``result_cache_evictions``.
-    """
-
-    requests: int
-    result_cache_hits: int
-    result_cache_misses: int
-    result_cache_entries: int
-    result_cache_evictions: int = 0
-    result_cache_maxsize: Optional[int] = None
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    plan_cache_evictions: int = 0
-    plan_cache_entries: int = 0
-    #: One event per pattern-plan run (see :mod:`repro.patterns.plan`).
-    plan_join_runs: int = 0
-    #: Corpus-store resolution counters (all zero with no store attached):
-    #: ``store_hits`` / ``store_misses`` count fingerprint-addressed tree
-    #: resolutions; ``store_bytes`` accumulates record bytes read off the
-    #: store heap (cache-served resolutions move hits but not bytes).
-    store_hits: int = 0
-    store_misses: int = 0
-    store_bytes: int = 0
-    counters: Dict[str, int] = field(default_factory=dict)
+    Numeric entries add up; anything else — ``bool`` flags, nested views,
+    strings, ``None`` — is skipped, so a view may carry descriptive
+    entries without corrupting the totals."""
+    merged: Dict[str, Any] = {}
+    for view in views:
+        for name, value in view.items():
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                merged[name] = merged.get(name, 0) + value
+    return merged
 
 
 class CacheStats:
-    """Named hit/miss counters with cheap snapshot/delta arithmetic."""
+    """Named hit/miss/eviction counters plus one-sided event counts."""
 
     def __init__(self) -> None:
         self._hits: Counter = Counter()
@@ -109,14 +92,6 @@ class CacheStats:
     def counts(self, name: str) -> int:
         return self._events[name]
 
-    @property
-    def total_hits(self) -> int:
-        return sum(self._hits.values())
-
-    @property
-    def total_misses(self) -> int:
-        return sum(self._misses.values())
-
     def snapshot(self) -> Dict[str, int]:
         """A flat ``{"<name>_hits": n, "<name>_misses": m, "<name>_evictions":
         e}`` mapping (evictions reported only for caches that recorded any;
@@ -130,12 +105,3 @@ class CacheStats:
         for name in sorted(self._events):
             flat[name] = self._events[name]
         return flat
-
-    @staticmethod
-    def delta(before: Mapping[str, int], after: Mapping[str, int]) -> Dict[str, int]:
-        """Counter movement between two :meth:`snapshot` results."""
-        return {key: after.get(key, 0) - before.get(key, 0)
-                for key in set(before) | set(after)}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<CacheStats hits={self.total_hits} misses={self.total_misses}>"

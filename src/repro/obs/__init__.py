@@ -11,11 +11,11 @@ Two instruments, one rule — *pay for what you use*:
   Disabled (the default), ``span()`` hands out a shared no-op and costs one
   boolean check; ``timer()`` always times (it feeds
   ``EngineResult.elapsed``) but records a span only when tracing is on.
-* :mod:`repro.obs.metrics` — thread-safe counters, gauges and fixed-bucket
+* :mod:`repro.obs.metrics` — thread-safe gauges and fixed-bucket
   histograms (p50/p90/p99 derivable without storing samples), a registry
   snapshot the server's ``stats`` op exposes, and an event-loop lag probe.
-  Cache counters stay in :class:`~repro.engine.stats.CacheStats` — the
-  registry aggregates *around* them, never instead of them (RL004).
+  Counting is :class:`~repro.engine.stats.CacheStats`' job alone (RL004);
+  the obs registry holds no counters.
 
 Surfaces: ``--trace PATH`` on the server and ``bench_service.py`` writes
 span records as JSON lines; the ``trace_dump`` wire op returns the
@@ -25,8 +25,8 @@ a configurable slow-request threshold logs the full span tree of
 offending requests.  See ROADMAP "Observability" for the span taxonomy.
 """
 
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      loop_lag_probe, registry)
+from .metrics import (Gauge, Histogram, MetricsRegistry, loop_lag_probe,
+                      registry)
 from .trace import (Span, Tracer, activate, capture, configure,
                     current_context, disable, drain, emit, enabled,
                     format_trace, ingest, records, span, timer)
@@ -35,6 +35,5 @@ __all__ = [
     "Span", "Tracer", "activate", "capture", "configure", "current_context",
     "disable", "drain", "emit", "enabled", "format_trace", "ingest",
     "records", "span", "timer",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "loop_lag_probe",
-    "registry",
+    "Gauge", "Histogram", "MetricsRegistry", "loop_lag_probe", "registry",
 ]

@@ -1,4 +1,4 @@
-"""Thread-safe counters, gauges and fixed-bucket histograms.
+"""Thread-safe gauges and fixed-bucket histograms.
 
 The histogram stores only per-bucket tallies (plus count/sum/min/max), so
 p50/p90/p99 are derivable by linear interpolation inside the landing
@@ -8,13 +8,13 @@ equal to a bound lands in that bound's bucket), the last bound is always
 ``+inf``, and quantiles are clamped to the observed min/max so edge
 observations (0, exact bounds, ``inf``) answer exactly.
 
-This module **augments** the engine's cache accounting, it does not
-replace it: ``hits``/``misses``/``evictions`` keep flowing through
-:class:`~repro.engine.stats.CacheStats` (RL004), and the obs registry
-carries what CacheStats cannot — latency distributions (every finished
-span feeds ``span.<name>`` via :meth:`MetricsRegistry.observe_span`),
-point-in-time gauges (per-worker in-flight depth in the shard host), and
-the event-loop lag probe (:func:`loop_lag_probe`).
+Counting is not this module's job: every hit, miss, eviction and event
+is recorded once in a :class:`~repro.engine.stats.CacheStats` (RL004) and
+surfaces through the stats views.  The obs registry carries what
+CacheStats cannot — latency distributions (every finished span feeds
+``span.<name>`` via :meth:`MetricsRegistry.observe_span`), point-in-time
+gauges (per-worker in-flight depth in the shard host), and the event-loop
+lag probe (:func:`loop_lag_probe`).
 """
 
 from __future__ import annotations
@@ -24,36 +24,15 @@ import math
 import threading
 import time
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "loop_lag_probe", "registry", "DEFAULT_LATENCY_BOUNDS"]
+__all__ = ["Gauge", "Histogram", "MetricsRegistry", "loop_lag_probe",
+           "registry", "DEFAULT_LATENCY_BOUNDS"]
 
 #: Exponential latency buckets (seconds), 100 µs … 10 s, then overflow.
 DEFAULT_LATENCY_BOUNDS: Tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
     0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, math.inf)
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only go up, got inc({amount!r})")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
 
 
 class Gauge:
@@ -68,10 +47,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self._value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
 
     @property
     def value(self) -> float:
@@ -198,9 +173,6 @@ class MetricsRegistry:
                     f"{type(instrument).__name__}, not {kind.__name__}")
             return instrument
 
-    def counter(self, name: str) -> Counter:
-        return self._obtain(name, Counter)
-
     def gauge(self, name: str) -> Gauge:
         return self._obtain(name, Gauge)
 
@@ -217,12 +189,9 @@ class MetricsRegistry:
         """Every instrument's current value, JSON-ready, grouped by kind."""
         with self._lock:
             instruments = list(self._instruments.items())
-        view: Dict[str, Dict[str, Any]] = {
-            "counters": {}, "gauges": {}, "histograms": {}}
+        view: Dict[str, Dict[str, Any]] = {"gauges": {}, "histograms": {}}
         for name, instrument in sorted(instruments):
-            if isinstance(instrument, Counter):
-                view["counters"][name] = instrument.value
-            elif isinstance(instrument, Gauge):
+            if isinstance(instrument, Gauge):
                 view["gauges"][name] = instrument.value
             else:
                 view["histograms"][name] = instrument.snapshot()

@@ -730,16 +730,16 @@ class PlanCache:
     """A bounded, counted, thread-safe LRU of compiled query plans.
 
     Keys are ``Query.fingerprint()`` digests, so syntactically identical
-    queries share one plan.  ``stats`` is any hit/miss/evict recorder with
-    the :class:`~repro.engine.stats.CacheStats` interface (the compiled
+    queries share one plan.  Every hit, miss and eviction is recorded
+    once, under ``name``, into ``stats`` — the
+    :class:`~repro.engine.stats.CacheStats` it was given (the compiled
     setting passes its own, which is how ``plan_cache_*`` counters reach
-    every ``EngineResult.cache`` snapshot); standalone counters live in a
-    private ``CacheStats`` of their own and are read through the
-    ``hits``/``misses``/``evictions`` properties — counters only ever move
-    through ``CacheStats`` methods (rule RL004), so every snapshot stays
-    balanced.  Two threads racing past the lookup may both compile — the
-    counters then truthfully report two misses, and the first stored plan
-    wins (mirroring the engine's result cache).
+    every ``EngineResult.cache`` snapshot) or, for a standalone cache, one
+    it creates on first use.  Counters only ever move through
+    ``CacheStats`` methods (rule RL004), so every snapshot stays balanced.
+    Two threads racing past the lookup may both compile — the counters
+    then truthfully report two misses, and the first stored plan wins
+    (mirroring the engine's result cache).
     """
 
     def __init__(self, maxsize: Optional[int] = None,
@@ -752,10 +752,6 @@ class PlanCache:
                              f"(unbounded), got {maxsize!r}")
         self.maxsize = maxsize
         self.name = name
-        # Created lazily on first movement: importing engine.stats here
-        # would cycle through engine.__init__ back into this module while
-        # the module-level fallback caches below are being constructed.
-        self._counters: Optional[Any] = None
         self._stats = stats
         #: Cache key and compile functions — query plans by default; the
         #: module-level pattern fallback reuses the same machinery with
@@ -769,39 +765,50 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._plans)
 
-    def _own_counters(self) -> Any:
-        if self._counters is None:
+    @property
+    def stats(self) -> Any:
+        """The ``CacheStats`` this cache records into.  A standalone cache
+        creates its own lazily: importing ``engine.stats`` at module level
+        would cycle through ``engine.__init__`` back into this module while
+        the module-level fallback caches below are being constructed."""
+        if self._stats is None:
             from ..engine.stats import CacheStats
-            self._counters = CacheStats()
-        return self._counters
+            with self._lock:
+                if self._stats is None:
+                    self._stats = CacheStats()
+        return self._stats
 
     @property
     def hits(self) -> int:
-        return 0 if self._counters is None else self._counters.hits(self.name)
+        return self.stats.hits(self.name)
 
     @property
     def misses(self) -> int:
-        return 0 if self._counters is None else self._counters.misses(self.name)
+        return self.stats.misses(self.name)
 
     @property
     def evictions(self) -> int:
-        return (0 if self._counters is None
-                else self._counters.evictions(self.name))
+        return self.stats.evictions(self.name)
+
+    def snapshot(self) -> Dict[str, int]:
+        """This cache's flat view: ``<name>_hits``/``_misses``/
+        ``_evictions`` and the live ``<name>_entries``."""
+        return {f"{self.name}_hits": self.hits,
+                f"{self.name}_misses": self.misses,
+                f"{self.name}_evictions": self.evictions,
+                f"{self.name}_entries": len(self._plans)}
 
     def get(self, query: Any) -> Any:
         """The plan for ``query``, compiling (and caching) on first use."""
         key = self._key(query)
+        stats = self.stats
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
                 self._plans.move_to_end(key)
-                self._own_counters().hit(self.name)
-                if self._stats is not None:
-                    self._stats.hit(self.name)
+                stats.hit(self.name)
                 return plan
-            self._own_counters().miss(self.name)
-            if self._stats is not None:
-                self._stats.miss(self.name)
+            stats.miss(self.name)
         compiled = self._compiler(query)
         with self._lock:
             existing = self._plans.get(key)
@@ -811,9 +818,7 @@ class PlanCache:
             if self.maxsize is not None:
                 while len(self._plans) > self.maxsize:
                     self._plans.popitem(last=False)
-                    self._own_counters().evict(self.name)
-                    if self._stats is not None:
-                        self._stats.evict(self.name)
+                    stats.evict(self.name)
         return compiled
 
     def clear(self) -> None:
@@ -823,13 +828,15 @@ class PlanCache:
 
     # Pickling (compiled settings travel to shard-host workers and into the
     # store): the lock stays behind; cached plans travel, so the receiver
-    # arrives plan-warm.
+    # arrives plan-warm.  Caches pickled by older versions also carry a
+    # retired ``_counters`` shadow copy of their counts; it is dropped.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]
         return state
 
     def __setstate__(self, state: dict) -> None:
+        state.pop("_counters", None)
         self.__dict__.update(state)
         self._lock = threading.Lock()
 

@@ -20,9 +20,11 @@ worker carrying **length-prefixed pickle frames** (an 8-byte big-endian
 payload length followed by the pickle bytes).  The prefix is verified on
 receipt, so a frame truncated by a dying worker surfaces as a typed
 :class:`FrameError` instead of a half-deserialized object.  Frames are
-``(request_id, op, payload)`` tuples; each worker serves its pipe serially
-(shared-nothing, one process per core) while the supervisor demultiplexes
-replies to concurrent callers by ``request_id``.
+``(request_id, op, payload, span_context)`` tuples and replies
+``(request_id, ok, outcome, spans)`` tuples — one shape each, control
+frames included; each worker serves its pipe serially (shared-nothing, one
+process per core) while the supervisor demultiplexes replies to concurrent
+callers by ``request_id``.
 
 **Crash containment**: a worker that segfaults, gets OOM-killed or is
 fault-injected (:meth:`inject_crash`) is detected by its reader thread
@@ -47,7 +49,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..engine import CacheStats, EngineResult
+from ..engine import CacheStats, EngineResult, merge_counts
 from ..engine.compiled import CompiledSetting, compile_setting
 from ..exchange.setting import DataExchangeSetting
 from ..obs.metrics import registry as obs_metrics
@@ -116,9 +118,7 @@ def _worker_main(conn, registry_config: Dict[str, Any]) -> None:
         except (EOFError, OSError):
             break  # supervisor gone: exit quietly
         try:
-            decoded = _decode_frame(frame)
-            request_id, op, payload = decoded[:3]
-            context = decoded[3] if len(decoded) > 3 else None
+            request_id, op, payload, context = _decode_frame(frame)
         except Exception:
             break  # unframeable garbage: the pipe is beyond recovery
         if op == "shutdown":
@@ -277,7 +277,7 @@ class _WorkerHandle:
         with self.lock:
             self.dead = True
             try:
-                self.conn.send_bytes(_encode_frame((0, op, payload)))
+                self.conn.send_bytes(_encode_frame((0, op, payload, None)))
             except (OSError, ValueError):
                 pass
 
@@ -373,9 +373,8 @@ class ShardHost:
         """Per-worker reader: demux replies by id; restart on pipe EOF."""
         while True:
             try:
-                reply = _decode_frame(handle.conn.recv_bytes())
-                request_id, ok, outcome = reply[:3]
-                spans = reply[3] if len(reply) > 3 else ()
+                request_id, ok, outcome, spans = _decode_frame(
+                    handle.conn.recv_bytes())
             except (EOFError, OSError, FrameError, pickle.UnpicklingError,
                     TypeError, ValueError):
                 break  # pipe closed or worker died mid-frame
@@ -537,19 +536,6 @@ class ShardHost:
         return self._call(self.worker_for(fingerprint), "register",
                           (setting, prewarm or persist))
 
-    def restore_from_store(self) -> List[str]:
-        """Re-admit every setting persisted in the supervisor's store,
-        forwarding the pickled compiled form to its owning worker — the
-        shard-host leg of a plan-warm boot.  Returns the fingerprints."""
-        if self.store is None:
-            return []
-        restored: List[str] = []
-        with obs_span("storage.restore"):
-            for item in self.store.settings():
-                self.register(item.compiled, prewarm=True)
-                restored.append(item.fingerprint)
-        return restored
-
     def prewarm(self, fingerprint: str) -> bool:
         """Compile ``fingerprint`` in its owning worker ahead of traffic;
         restarts re-prewarm it.  ``True`` when this call did the compile."""
@@ -655,7 +641,7 @@ class ShardHost:
         with handle.lock:
             try:
                 handle.conn.send_bytes(_encode_frame((0, "crash",
-                                                      exit_code)))
+                                                      exit_code, None)))
             except (OSError, ValueError):
                 pass  # already dead — which is what was asked for
 
@@ -672,18 +658,17 @@ class ShardHost:
         counters with its replacement's: restart-survivors show up in the
         *next* snapshot, attributed to their new generation.
 
-        ``registry`` sums each numeric counter over the fresh slices (so
-        ``compiled_hits``/``plan_cache_*``/… read exactly like a
-        single-process registry); ``shards`` merges the per-fingerprint
+        ``registry`` is :func:`~repro.engine.stats.merge_counts` over the
+        fresh slices (so ``compiled_hits``/``plan_cache_*``/… read exactly
+        like a single-process registry); ``shards`` merges the per-fingerprint
         shard views (disjoint by construction — each fingerprint lives on
         exactly one worker); ``per_worker`` keeps the unmerged, tagged
         slices, stale ones included.
         """
         with self._lock:
             handles = list(self._handles)
-            flat = self._stats.snapshot()
+            restarts = self._stats.counts("worker_restarts")
             registered = len(self._settings)
-        flat.setdefault("worker_restarts", 0)
         per_worker: List[Dict[str, Any]] = []
         for handle in handles:
             view: Dict[str, Any] = {"pid": handle.process.pid,
@@ -707,18 +692,14 @@ class ShardHost:
             with handle.lock:
                 view["in_flight"] = len(handle.pending)
             per_worker.append(view)
-        merged: Dict[str, int] = {}
-        shards: Dict[str, Any] = {}
-        for view in per_worker:
-            if view["stale"]:
-                continue
-            for name, value in view["registry"].items():
-                if isinstance(value, (int, float)):
-                    merged[name] = merged.get(name, 0) + value
-            shards.update(view["shards"])
+        fresh = [view for view in per_worker if not view["stale"]]
+        merged = merge_counts(*(view["registry"] for view in fresh))
         merged["settings_registered"] = registered
+        shards: Dict[str, Any] = {}
+        for view in fresh:
+            shards.update(view["shards"])
         return {"workers": self.workers,
-                "worker_restarts": flat["worker_restarts"],
+                "worker_restarts": restarts,
                 "registry": merged, "shards": shards,
                 "per_worker": per_worker}
 

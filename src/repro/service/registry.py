@@ -38,7 +38,8 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from ..engine import CacheStats, ExchangeEngine, compile_setting
+from ..engine import (CacheStats, ExchangeEngine, compile_setting,
+                      merge_counts)
 from ..engine.compiled import CompiledSetting
 from ..exchange.setting import DataExchangeSetting
 from ..obs.trace import span as obs_span
@@ -47,6 +48,16 @@ from .quota import QuotaPolicy
 from .shard import Shard
 
 __all__ = ["SettingRegistry", "UnknownSettingError"]
+
+#: Counters every :meth:`SettingRegistry.stats` view carries, reading 0
+#: until they move.
+_REGISTRY_COUNTERS = ("compiled_hits", "compiled_misses",
+                      "compiled_evictions", "prewarm_compiles",
+                      "prewarm_hits", "compile_failures", "quota_rejections",
+                      "quota_release_underflow", "plan_cache_hits",
+                      "plan_cache_misses", "plan_cache_evictions",
+                      "plan_cache_entries", "store_hits", "store_misses",
+                      "store_bytes")
 
 
 class UnknownSettingError(KeyError):
@@ -361,47 +372,26 @@ class SettingRegistry:
 
     def stats(self) -> Dict[str, int]:
         """Registry-level counters: registrations, the compiled LRU,
-        prewarming, quota rejections, and the plan caches aggregated over
+        prewarming, quota rejections, and the plan caches summed over
         every currently-compiled shard *plus* shards already evicted (their
         counters are folded in at eviction time, so the registry-level
         ``plan_cache_hits/misses/evictions`` never decrease;
         ``plan_cache_entries`` counts live caches only)."""
         with self._lock:
-            flat = self._stats.snapshot()
-            flat.setdefault("compiled_hits", 0)
-            flat.setdefault("compiled_misses", 0)
-            flat.setdefault("compiled_evictions", 0)
-            flat.setdefault("prewarm_compiles", 0)
-            flat.setdefault("prewarm_hits", 0)
-            flat.setdefault("compile_failures", 0)
-            flat.setdefault("quota_rejections", 0)
-            flat.setdefault("quota_release_underflow", 0)
-            flat["settings_registered"] = len(self._settings)
-            flat["compiled_entries"] = len(self._shards)
-            flat["in_flight"] = sum(self._in_flight.values())
-            shards = list(self._shards.values())
-        # Retired (evicted-shard) counters live in self._stats and are part
-        # of `flat` already; live shards add on top.  Entries count live
-        # caches only.
-        for name in ("plan_cache_hits", "plan_cache_misses",
-                     "plan_cache_evictions"):
-            flat.setdefault(name, 0)
-        flat["plan_cache_entries"] = 0
-        for shard in shards:
-            cache = shard.engine.compiled.plan_cache
-            flat["plan_cache_hits"] += cache.hits
-            flat["plan_cache_misses"] += cache.misses
-            flat["plan_cache_evictions"] += cache.evictions
-            flat["plan_cache_entries"] += len(cache)
+            own = dict.fromkeys(_REGISTRY_COUNTERS, 0)
+            own.update(self._stats.snapshot(),
+                       settings_registered=len(self._settings),
+                       compiled_entries=len(self._shards),
+                       in_flight=sum(self._in_flight.values()))
+            caches = [shard.engine.compiled.plan_cache
+                      for shard in self._shards.values()]
+        view = merge_counts(own, *(cache.snapshot() for cache in caches))
         # Store counters are *overlaid*, not summed: every shard engine
         # resolves through the registry's one store handle, so a per-shard
         # sum would multiply the same counters.
         if self.store is not None:
-            flat.update(self.store.stats.snapshot())
-        flat.setdefault("store_hits", 0)
-        flat.setdefault("store_misses", 0)
-        flat.setdefault("store_bytes", 0)
-        return flat
+            view.update(self.store.stats.snapshot())
+        return view
 
     def shard_stats(self) -> Dict[str, Dict[str, Any]]:
         """Per-shard accounting for every currently-compiled shard."""

@@ -199,18 +199,16 @@ class AsyncExchangeService:
     def restore_settings(self) -> List[str]:
         """Re-admit every setting persisted in the attached store, compiled
         and prewarmed (``prewarm_hits``, zero ``compiled_misses``): the
-        plan-warm restart path.  Returns the restored fingerprints."""
-        if self._host is not None:
-            restored = self._host.restore_from_store()
-            for fingerprint in restored:
-                item = self.store.get_setting(fingerprint) \
-                    if self.store is not None else None
-                if item is not None:
-                    # Local registry handles routing/quota only; admit the
-                    # plain setting so fingerprints resolve loop-side.
-                    self.registry.register(item.compiled.setting)
-            return restored
-        return self.registry.restore_from_store()
+        plan-warm restart path, one :meth:`register` per stored setting in
+        either mode.  Returns the restored fingerprints."""
+        if self.store is None:
+            return []
+        restored: List[str] = []
+        with obs_span("storage.restore"):
+            for item in self.store.settings():
+                self.register(item.compiled, prewarm=True)
+                restored.append(item.fingerprint)
+        return restored
 
     async def put_tree(self, tree: XMLTree) -> str:
         """Store a source document; returns its fingerprint, usable in

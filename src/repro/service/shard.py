@@ -75,28 +75,15 @@ class Shard:
     # ------------------------------------------------------------------ #
 
     def stats(self) -> Dict[str, Any]:
-        """Shard accounting merged with the engine's result-cache view."""
-        summary = self.engine.stats_summary()
+        """The engine's stats view plus this shard's own accounting.
+
+        Compiled query plans are per-setting state: all requests for this
+        fingerprint share them, so the second evaluation of any query on a
+        shard is always a ``plan_cache`` hit."""
         with self._lock:
             served, errors = self.requests, self.errors
-        return {
-            "requests": served,
-            "errors": errors,
-            "prewarmed": self.prewarmed,
-            "engine_requests": summary.requests,
-            "result_cache_hits": summary.result_cache_hits,
-            "result_cache_misses": summary.result_cache_misses,
-            "result_cache_evictions": summary.result_cache_evictions,
-            "result_cache_entries": summary.result_cache_entries,
-            "result_cache_maxsize": summary.result_cache_maxsize,
-            # Compiled query plans are per-setting state: all requests for
-            # this fingerprint share them, so the second evaluation of any
-            # query on a shard is always a plan_cache hit.
-            "plan_cache_hits": summary.plan_cache_hits,
-            "plan_cache_misses": summary.plan_cache_misses,
-            "plan_cache_evictions": summary.plan_cache_evictions,
-            "plan_cache_entries": summary.plan_cache_entries,
-        }
+        return dict(self.engine.stats, requests=served, errors=errors,
+                    prewarmed=self.prewarmed)
 
     def __repr__(self) -> str:
         return (f"<Shard {self.fingerprint[:12]}… requests={self.requests} "

@@ -381,7 +381,8 @@ class CorpusStore:
 
     def settings(self) -> List[StoredSetting]:
         """Every persisted setting, unpickled plan-warm — the boot-restore
-        input for :meth:`SettingRegistry.restore_from_store`."""
+        input for ``AsyncExchangeService.restore_settings`` and
+        ``SettingRegistry.restore_from_store``."""
         with obs_span("storage.load_settings"):
             with self._lock:
                 rows = self._conn.execute(

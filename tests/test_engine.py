@@ -244,10 +244,9 @@ class TestResultCacheEviction:
         query = library.query_writer_of("Book-0")
         for tree in self._sources(4):
             engine.certain_answers(tree, query)
-        summary = engine.stats_summary()
-        assert summary.result_cache_entries == 4
-        assert summary.result_cache_evictions == 0
-        assert summary.result_cache_maxsize is None
+        stats = engine.stats
+        assert stats["result_cache_entries"] == 4
+        assert stats["result_cache_evictions"] == 0
 
     def test_maxsize_evicts_least_recently_used(self, library_setting):
         engine = ExchangeEngine(library_setting, result_cache_maxsize=2)
@@ -257,10 +256,10 @@ class TestResultCacheEviction:
         engine.certain_answers(b, query)
         engine.certain_answers(a, query)  # refresh a: b is now the LRU entry
         engine.certain_answers(c, query)  # evicts b
-        summary = engine.stats_summary()
-        assert summary.result_cache_entries == 2
-        assert summary.result_cache_evictions == 1
-        assert summary.result_cache_maxsize == 2
+        stats = engine.stats
+        assert stats["result_cache_entries"] == 2
+        assert stats["result_cache_evictions"] == 1
+        assert engine.result_cache_maxsize == 2
         # a survived the eviction (it was refreshed), b did not.
         assert engine.certain_answers(a, query).cache["result_cache_hits"] == 2
         before = engine.stats["result_cache_misses"]
@@ -277,7 +276,7 @@ class TestResultCacheEviction:
         assert last is not None
         assert last.cache["result_cache_evictions"] == 2
         assert engine.stats["result_cache_evictions"] == 2
-        assert engine.stats_summary().result_cache_entries == 1
+        assert engine.stats["result_cache_entries"] == 1
 
     def test_results_identical_to_unbounded_engine(self, library_setting):
         bounded = ExchangeEngine(library_setting, result_cache_maxsize=1)
@@ -297,9 +296,9 @@ class TestResultCacheEviction:
         query = library.query_writer_of("Book-0")
         trees = self._sources(4)
         engine.certain_answers_batch(trees, query)
-        summary = engine.stats_summary()
-        assert summary.result_cache_entries <= 2
-        assert summary.result_cache_evictions >= 2
+        stats = engine.stats
+        assert stats["result_cache_entries"] <= 2
+        assert stats["result_cache_evictions"] >= 2
 
 
 class TestBatch:

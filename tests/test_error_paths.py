@@ -131,9 +131,9 @@ class TestChaseError:
         for _ in range(2):  # identical on first call and on repeat
             with pytest.raises(ChaseError, match="not univocal"):
                 engine.certain_answers(three_records, R_QUERY)
-        summary = engine.stats_summary()
-        assert summary.result_cache_entries == 0  # exceptions are not cached
-        assert summary.result_cache_misses == 2   # ... and each retry recomputes
+        stats = engine.stats
+        assert stats["result_cache_entries"] == 0  # exceptions are not cached
+        assert stats["result_cache_misses"] == 2   # ... and each retry recomputes
 
     def test_batch_propagates(self, non_univocal_setting, three_records):
         engine = ExchangeEngine(non_univocal_setting)

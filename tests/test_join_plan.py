@@ -275,8 +275,7 @@ class TestEngineAccounting:
         assert result.ok
         # STD source plans + the query's atoms all counted.
         assert result.cache["plan_join_runs"] > 0
-        summary = engine.stats_summary()
-        assert summary.plan_join_runs == result.cache["plan_join_runs"]
+        assert engine.stats["plan_join_runs"] == result.cache["plan_join_runs"]
 
     def test_generated_scenario_counters_accumulate(self):
         scenario = generate_scenario(7)

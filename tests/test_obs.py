@@ -249,28 +249,28 @@ class TestHistogramEdges:
 class TestMetricsRegistry:
     def test_same_name_same_instrument(self):
         metrics = MetricsRegistry()
-        metrics.counter("requests").inc()
-        metrics.counter("requests").inc(2)
-        assert metrics.counter("requests").value == 3
+        metrics.gauge("depth").set(3)
+        assert metrics.gauge("depth") is metrics.gauge("depth")
+        assert metrics.gauge("depth").value == 3
+        metrics.histogram("lat").observe(0.5)
+        metrics.histogram("lat").observe(1.5)
+        assert metrics.histogram("lat").count == 2
 
     def test_cross_kind_reuse_is_a_loud_error(self):
         metrics = MetricsRegistry()
-        metrics.counter("loop.lag")
+        metrics.histogram("loop.lag")
         with pytest.raises(TypeError, match="already exists"):
             metrics.gauge("loop.lag")
-
-    def test_counters_refuse_to_go_down(self):
-        metrics = MetricsRegistry()
-        with pytest.raises(ValueError, match="only go up"):
-            metrics.counter("requests").inc(-1)
+        metrics.gauge("depth")
+        with pytest.raises(TypeError, match="already exists"):
+            metrics.histogram("depth")
 
     def test_snapshot_groups_by_kind(self):
         metrics = MetricsRegistry()
-        metrics.counter("served").inc(5)
         metrics.gauge("depth").set(2.5)
         metrics.histogram("lat", bounds=(1.0,)).observe(0.5)
         view = metrics.snapshot()
-        assert view["counters"] == {"served": 5}
+        assert set(view) == {"gauges", "histograms"}
         assert view["gauges"] == {"depth": 2.5}
         assert view["histograms"]["lat"]["count"] == 1
 

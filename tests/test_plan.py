@@ -9,7 +9,7 @@ accounting through the engine and the serving layer.
 
 import pytest
 
-from repro import ExchangeEngine, XMLTree, compile_setting
+from repro import CacheStats, ExchangeEngine, XMLTree, compile_setting
 from repro.patterns import (PlanCache, compile_pattern, compile_query,
                             conjunction, descendant, exists, match_anywhere,
                             node, pattern_query, union_query, wildcard)
@@ -181,6 +181,11 @@ class TestPlanCache:
         assert cache.get(query) is first
         assert (cache.hits, cache.misses) == (1, 1)
         assert len(cache) == 1
+        # A given CacheStats records each event exactly once.
+        shared = CacheStats()
+        PlanCache(stats=shared).get(query)
+        assert shared.snapshot() == {"plan_cache_hits": 0,
+                                     "plan_cache_misses": 1}
 
     def test_lru_eviction_accounting(self):
         cache = PlanCache(maxsize=2)
@@ -193,6 +198,9 @@ class TestPlanCache:
         # The evicted (least recently used) entry recompiles: a miss.
         cache.get(queries[0])
         assert cache.misses == 4
+        assert cache.snapshot() == {
+            "plan_cache_hits": 0, "plan_cache_misses": 4,
+            "plan_cache_evictions": 2, "plan_cache_entries": 2}
         with pytest.raises(ValueError):
             PlanCache(maxsize=0)
 
@@ -207,10 +215,10 @@ class TestPlanCache:
         # compiled setting never recompiles its plan.
         assert second.cache["plan_cache_misses"] == 1
         assert second.cache["plan_cache_hits"] >= 1
-        summary = engine.stats_summary()
-        assert summary.plan_cache_misses == 1
-        assert summary.plan_cache_entries == 1
-        assert summary.plan_cache_evictions == 0
+        stats = engine.stats
+        assert stats["plan_cache_misses"] == 1
+        assert stats["plan_cache_entries"] == 1
+        assert stats["plan_cache_evictions"] == 0
 
     def test_result_cache_hits_bypass_plan_lookup(self):
         engine = ExchangeEngine(library.library_setting())
@@ -260,6 +268,29 @@ class TestServicePlanStats:
         assert registry_stats["plan_cache_misses"] == 1
         assert registry_stats["plan_cache_hits"] >= 1
         assert registry_stats["plan_cache_entries"] == 1
+
+    def test_shard_view_is_the_engine_view_plus_shard_fields(self):
+        registry = SettingRegistry()
+        fingerprint = registry.register(library.library_setting(),
+                                        prewarm=True)
+        source = library.generate_source(3, authors_per_book=1, seed=1)
+        query = library.query_writer_of("Book-0")
+        shard = registry.shard(fingerprint)
+        for _ in range(2):
+            shard.execute(ExchangeRequest(op="certain_answers",
+                                          fingerprint=fingerprint,
+                                          tree=source, query=query))
+        engine_view = shard.engine.stats
+        view = shard.stats()
+        assert set(view) == set(engine_view) | {"requests", "errors",
+                                                "prewarmed"}
+        assert {name: view[name] for name in engine_view} == engine_view
+        assert (view["requests"], view["errors"], view["prewarmed"]) == \
+            (2, 0, True)
+        # The key set does not depend on the deployment: with no store
+        # attached the store counters are present and read 0.
+        assert (view["store_hits"], view["store_misses"],
+                view["store_bytes"]) == (0, 0, 0)
 
     def test_registry_plan_counters_survive_eviction(self):
         from repro.generators import generate_scenario

@@ -15,13 +15,14 @@ import time
 import pytest
 
 from repro import ExchangeEngine, compile_setting
+from repro.engine import merge_counts
 from repro.service import (AsyncExchangeService, ExchangeRequest, ShardHost,
                            UnknownSettingError, certain_answers_request,
                            classify_request, consistency_request,
                            solve_request)
 from repro.service.host import FrameError, _decode_frame, _encode_frame
 from repro.service.protocol import answers_to_wire, tree_to_wire
-from repro.workloads import library
+from repro.workloads import library, nested_relational
 
 import asyncio
 
@@ -230,6 +231,16 @@ class TestWorkerLifecycle:
                                                       query))
         assert result.ok
 
+    def test_injected_crash_exits_with_the_requested_code(self, host):
+        """The crash control frame has the one frame shape: a worker that
+        could not decode it would leave its loop and exit 0 instead."""
+        victim = host._handles[1].process
+        host.inject_crash(1, exit_code=3)
+        # The restart joins the dead worker before it counts the restart.
+        wait_until(lambda: host.stats()["worker_restarts"] == 1,
+                   message="worker restart")
+        assert victim.exitcode == 3
+
     def test_sigkill_mid_stream_loses_no_replies(self, host, library_pair):
         """Kill a worker while requests are in flight: every request gets
         exactly one reply (orphans are resubmitted to the replacement)."""
@@ -319,6 +330,42 @@ class TestStatsAggregation:
                 for setting in (library_setting, company_setting)]
         shards = host.stats()["shards"]
         assert sorted(shards) == sorted(keys)
+
+    def test_host_views_equal_serial_views(self, library_pair,
+                                           company_setting):
+        """One counter plane: the same traffic gives key-for-key equal
+        registry and shard views in one process and across two workers
+        (store counters included, though only the serial service has a
+        store attached)."""
+        setting, tree, query = library_pair
+        company_tree = nested_relational.generate_company_source(
+            2, employees_per_dept=2, projects_per_dept=1)
+        company_query = nested_relational.query_projects_of("Dept-0")
+
+        async def run(**kwargs):
+            async with AsyncExchangeService(**kwargs) as service:
+                lib = service.register(setting, prewarm=True)
+                com = service.register(company_setting)
+                for _ in range(2):
+                    await service.certain_answers(lib, tree, query)
+                    await service.certain_answers(com, company_tree,
+                                                  company_query)
+                await service.solve(lib, tree)
+                await service.check_consistency(com)
+                stats = service.stats()
+                return stats["registry"], stats["shards"]
+
+        serial = asyncio.run(run(executor="serial"))
+        hosted = asyncio.run(run(executor="host", workers=2))
+        assert hosted == serial
+
+    def test_merge_counts_sums_numbers_and_skips_the_rest(self):
+        merged = merge_counts(
+            {"hits": 1, "ratio": 0.5, "prewarmed": True, "name": "a"},
+            {"hits": 2, "misses": 3, "prewarmed": False,
+             "nested": {"hits": 9}, "pid": None})
+        assert merged == {"hits": 3, "ratio": 0.5, "misses": 3}
+        assert merge_counts() == {}
 
 
 class TestServiceHostMode:

@@ -347,10 +347,10 @@ class TestEngineStore:
         engine.solve(fingerprint)  # thawed-tree LRU: a hit, no heap read
         assert engine.stats["store_hits"] == 2
         assert engine.stats["store_bytes"] == bytes_after_first
-        summary = engine.stats_summary()
-        assert summary.store_hits == 2
-        assert summary.store_misses == 0
-        assert summary.store_bytes == bytes_after_first
+        stats = engine.stats
+        assert stats["store_hits"] == 2
+        assert stats["store_misses"] == 0
+        assert stats["store_bytes"] == bytes_after_first
 
     def test_unknown_document_surfaces_through_engine(self, library_setting):
         engine = ExchangeEngine(compile_setting(library_setting))
@@ -474,7 +474,8 @@ class TestRegistryPersistence:
         seed_store.close()
 
         with ShardHost(workers=1, store=path) as host:
-            restored = host.restore_from_store()
+            restored = [host.register(item.compiled, prewarm=True)
+                        for item in host.store.settings()]
             assert restored == [library_setting.fingerprint()]
             result = host.execute(certain_answers_request(
                 restored[0], tree_fp, library.query_writer_of("Book-0"),
@@ -581,7 +582,10 @@ class TestServiceStore:
 
         assert asyncio.run(scenario()) == {("Author-1",), ("Author-2",)}
 
-    def test_service_restore_settings(self, tmp_path, library_setting):
+    @pytest.mark.parametrize("mode", [{"executor": "serial"},
+                                      {"executor": "host", "workers": 1}],
+                             ids=["serial", "host"])
+    def test_service_restore_settings(self, tmp_path, library_setting, mode):
         import asyncio
 
         from repro.service import AsyncExchangeService
@@ -598,8 +602,7 @@ class TestServiceStore:
         fingerprint, tree_fp = asyncio.run(persist())
 
         async def restart():
-            async with AsyncExchangeService(executor="serial",
-                                            store=path) as service:
+            async with AsyncExchangeService(store=path, **mode) as service:
                 assert service.restore_settings() == [fingerprint]
                 result = await service.certain_answers(
                     fingerprint, tree_fp,
@@ -607,9 +610,39 @@ class TestServiceStore:
                 stats = service.stats()["registry"]
                 assert stats["compiled_misses"] == 0
                 assert stats["prewarm_hits"] >= 1
+                assert stats["store_hits"] >= 1
                 return result.payload
 
         assert asyncio.run(restart()) == {("Author-1",), ("Author-2",)}
+
+    def test_host_restore_unpickles_each_setting_once(self, tmp_path,
+                                                      library_setting,
+                                                      monkeypatch):
+        """Host-mode restore reads every stored setting in the one
+        ``settings()`` pass; a second per-fingerprint ``get_setting``
+        would unpickle each compiled setting twice."""
+        import asyncio
+
+        from repro.service import AsyncExchangeService
+
+        path = tmp_path / "store"
+        with CorpusStore(path) as store:
+            store.put_setting(compile_setting(library_setting), prewarm=True)
+
+        def refuse(self, fingerprint):
+            raise AssertionError("restore must not call get_setting")
+
+        monkeypatch.setattr(CorpusStore, "get_setting", refuse)
+
+        async def restart():
+            async with AsyncExchangeService(executor="host", workers=1,
+                                            store=path) as service:
+                restored = service.restore_settings()
+                result = await service.check_consistency(restored[0])
+                return restored, result.payload
+
+        assert asyncio.run(restart()) == (
+            [library_setting.fingerprint()], True)
 
     def test_explicit_registry_and_store_conflict(self, library_setting):
         from repro.service import AsyncExchangeService
