@@ -243,7 +243,7 @@ def main(argv=None) -> int:
 
     # Cold plan path: freeze per tree, plan-cache lookup per query — what a
     # request pays on a warm shard serving a fresh tree.
-    cache = PlanCache()
+    cache = PlanCache(CacheStats())
 
     def plan_pass():
         return [cache.get(query).answers(tree.freeze())

@@ -20,10 +20,10 @@ and queries, and serves the whole pipeline through one object::
     engine.certain_answers_batch(trees, query)   # order-preserving loop
 
 Every engine method returns an :class:`~repro.engine.EngineResult` (success
-flag, payload, strategy used, timing, cache statistics).  The original
-functional API (``check_consistency``, ``canonical_solution``,
-``certain_answers``, …) remains fully supported — the engine delegates to it
-— and is the right choice for one-shot scripts; see ``examples/quickstart.py``
+flag, payload, strategy used, timing, cache statistics).  The functional API
+(``check_consistency``, ``canonical_solution``, ``certain_answers``, …) runs
+the same pipeline the engine delegates to; a bare call compiles the setting
+once per call, which suits one-shot scripts — see ``examples/quickstart.py``
 for both styles side by side.
 
 The package is organised in layers:

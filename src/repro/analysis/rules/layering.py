@@ -1,10 +1,10 @@
-"""RL003 — layering: the hot path never re-enters the parity oracles.
+"""RL003 — layering: the hot path stays off the oracles and never recompiles.
 
-The functional API (``certain_answers``, ``canonical_solution``,
-``check_consistency``, …) and the interpreted ``PatternMatcher`` are
-behaviour-frozen *parity oracles* (see ROADMAP "Standing conventions"):
-production code lives in ``repro.engine`` / ``repro.service`` /
-``repro.patterns.plan`` and evaluates through compiled settings and plans.
+The interpreted ``PatternMatcher`` (with ``Query.evaluate``) and
+``naive_certain_answers`` are the *parity oracles* (see ROADMAP "Standing
+conventions"); production code lives in ``repro.engine`` /
+``repro.service`` / ``repro.patterns.plan`` and evaluates through compiled
+settings and plans.
 
 Inside those layers this rule flags:
 
@@ -12,9 +12,10 @@ Inside those layers this rule flags:
   names — ``PatternMatcher``, ``match_anywhere``, … — or
   ``evaluate_query``/``boolean_query_holds``), and
 * calls to functional-API entry points imported from ``repro.exchange``
-  **unless** the call passes a ``compiled=`` handle — that keyword is the
-  compiled fast path the engine layers are built on; a bare call silently
-  recompiles the setting per request.
+  **unless** the call passes a ``compiled=`` handle: a bare pipeline call
+  compiles the setting before it runs, so on a request path it would
+  recompile the setting for every request (and ``naive_certain_answers``,
+  an oracle, takes no handle at all).
 
 Modules that *are* oracle plumbing opt out with a reasoned
 ``# repro-lint: parity-oracle -- …`` marker; tests and benchmarks are out
@@ -81,9 +82,9 @@ def _from_home(resolved: str, homes: Tuple[str, ...]) -> bool:
 class LayeringRule(Rule):
     id = "RL003"
     title = "engine/service/plan layers stay off the parity oracles"
-    rationale = ("The interpreted matcher and the bare functional API are "
-                 "behaviour-frozen oracles; the hot path goes through "
-                 "compiled settings and plans.")
+    rationale = ("The interpreted matcher is the parity oracle, and a bare "
+                 "functional call compiles its setting on every call; the "
+                 "hot path goes through compiled settings and plans.")
 
     def check(self, module: ModuleContext) -> Iterable[Finding]:
         if not _restricted(module.module):
@@ -145,5 +146,5 @@ class LayeringRule(Rule):
                 self.id, node,
                 f"bare functional-API call {canonical}(...) in layer "
                 f"module {module.module}: pass compiled=<CompiledSetting> "
-                "(the compiled fast path) or move the call behind the "
-                "engine facade")
+                "(a bare pipeline call compiles the setting on every call) "
+                "or move the call behind the engine facade")

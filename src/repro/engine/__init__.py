@@ -9,8 +9,8 @@
   pipeline — consistency, chase, certain answers, and order-preserving
   batches of them — as methods returning a uniform :class:`EngineResult`.
 
-The functional API in :mod:`repro.exchange` remains supported; the engine
-delegates to it while handing over the compiled fast path.
+The engine delegates to the functional API in :mod:`repro.exchange`, handing
+it the compiled setting; a bare functional call compiles one per call.
 """
 
 from .compiled import CompiledSetting, compile_setting

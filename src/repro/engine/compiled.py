@@ -24,6 +24,9 @@ lives here:
 All of it is observable through :meth:`CompiledSetting.cache_stats`, whose
 miss counters prove (for tests and benchmarks) that a warm engine never
 recompiles an NFA or re-runs an analysis.
+
+Every stage of :mod:`repro.exchange` runs on a compiled setting, which its
+outermost entry point obtains through :func:`compiled_for`.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from ..regexlang.univocal import RegexAnalysis
 from ..xmlmodel.tree import XMLTree
 from .stats import CacheStats
 
-__all__ = ["CompiledSetting", "compile_setting", "DEFAULT_PLAN_CACHE_MAXSIZE"]
+__all__ = ["CompiledSetting", "compile_setting", "compiled_for",
+           "DEFAULT_PLAN_CACHE_MAXSIZE"]
 
 #: Default bound on the per-setting query-plan cache.  Plans are small
 #: (slot tables + op tuples), but the cache is keyed by query fingerprint
@@ -114,8 +118,7 @@ class CompiledSetting:
         #: they surface in ``ExchangeEngine.stats`` (every
         #: ``EngineResult.cache``) and in the serving layer's shard and
         #: registry views.
-        self.plan_cache = PlanCache(maxsize=plan_cache_maxsize,
-                                    stats=self.stats)
+        self.plan_cache = PlanCache(self.stats, maxsize=plan_cache_maxsize)
 
         # --- lazily memoised heavy machinery ------------------------------ #
         self._lock = threading.Lock()
@@ -149,9 +152,9 @@ class CompiledSetting:
     # ------------------------------------------------------------------ #
 
     def check_owns(self, setting: DataExchangeSetting) -> None:
-        """Guard for the ``compiled=`` fast paths: raise unless this compiled
-        state was built from exactly the given setting object (a mismatched
-        handle would silently answer for the wrong setting)."""
+        """Guard for ``compiled=`` handles: raise unless this compiled state
+        was built from exactly the given setting object (a mismatched handle
+        would silently answer for the wrong setting)."""
         if setting is not self.setting:
             raise ValueError(
                 "the compiled= handle was built from a different "
@@ -258,3 +261,15 @@ def compile_setting(setting: DataExchangeSetting,
     plan LRU; ``None`` keeps it unbounded).
     """
     return CompiledSetting(setting, plan_cache_maxsize=plan_cache_maxsize)
+
+
+def compiled_for(setting: DataExchangeSetting,
+                 compiled: Optional[CompiledSetting] = None
+                 ) -> CompiledSetting:
+    """The compiled setting a :mod:`repro.exchange` stage runs on: the
+    caller's ``compiled`` handle, checked to belong to ``setting``, or — for
+    a bare one-shot call — ``setting`` compiled here, once per call."""
+    if compiled is None:
+        return compile_setting(setting)
+    compiled.check_owns(setting)
+    return compiled

@@ -5,7 +5,7 @@ and exposes every pipeline stage as a method returning a uniform
 :class:`EngineResult` — success flag, payload, strategy used, wall-clock
 timing and a cache-stats snapshot — instead of the four unrelated result
 dataclasses of the functional API (which remains available and is what the
-engine delegates to, handing it the compiled fast path).
+engine delegates to, handing it the compiled setting).
 
 Per-tree work (``solve``, ``certain_answers``) is independent across trees
 once the setting is compiled; the ``*_batch`` methods are order-preserving
@@ -48,14 +48,13 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
                     Tuple, Union)
 
 from ..exchange.certain_answers import CertainAnswers, certain_answers
 from ..exchange.chase import ChaseResult, canonical_solution
 from ..exchange.consistency import ConsistencyResult, check_consistency
-from ..exchange.dichotomy import DichotomyReport
 from ..exchange.errors import NoSolutionError
 from ..exchange.setting import DataExchangeSetting
 from ..obs.trace import span as obs_span, timer as obs_timer
@@ -287,7 +286,15 @@ class ExchangeEngine:
         the tractable class?  ``ok`` is always true; ``payload.tractable``
         carries the verdict."""
         with obs_timer("engine.classify") as clock:
-            report: DichotomyReport = self.compiled.dichotomy
+            cached = self.compiled.dichotomy
+            # Fresh containers, so a caller mutating the report (a plain
+            # dataclass meant for display) cannot poison the cached one.
+            report = replace(
+                cached,
+                target_rules={element: dict(info)
+                              for element, info in cached.target_rules.items()},
+                std_classes=list(cached.std_classes),
+                reasons=list(cached.reasons))
             return self._result(True, report, "dichotomy", clock,
                                 detail=report.summary(), raw=report)
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Set, Tuple
 
 from ..obs.trace import span as _span
-from ..patterns.plan import shared_query_plan
 from ..patterns.queries import Query
 from ..xmlmodel.tree import XMLTree
 from ..xmlmodel.values import NullFactory, Value, is_constant
@@ -80,17 +79,15 @@ def certain_answers(setting: DataExchangeSetting, source_tree: XMLTree,
     the paper's dichotomy — use :mod:`repro.exchange.naive` to cross-check on
     small instances.
 
-    ``compiled`` (a :class:`repro.engine.CompiledSetting` for this setting)
-    supplies the precomputed fully-specified verdict, the pre-lowered STD
-    source plans and the query-plan cache, so the per-request path is
-    exactly "chase → freeze → run the compiled plan": interpretation is
-    paid once per query (at plan-compile time), not once per (query, node).
+    The pipeline runs on ``compiled``, or on the setting compiled for this
+    call (:func:`repro.engine.compiled.compiled_for`): its pre-lowered STD
+    source plans and query-plan cache make the per-request path exactly
+    "chase → freeze → run the compiled plan", so interpretation is paid
+    once per query (at plan-compile time), not once per (query, node).
     """
-    if compiled is not None:
-        compiled.check_owns(setting)
-    fully_specified = (compiled.fully_specified if compiled is not None
-                       else setting.is_fully_specified())
-    if not fully_specified:
+    from ..engine.compiled import compiled_for
+    compiled = compiled_for(setting, compiled)
+    if not compiled.fully_specified:
         raise ValueError(
             "certain_answers via canonical solutions requires fully-specified "
             "STDs (Definition 5.10); this setting is not fully specified")
@@ -101,18 +98,15 @@ def certain_answers(setting: DataExchangeSetting, source_tree: XMLTree,
     with _span("engine.plan_compile"):
         # Compile-or-fetch: a warm plan cache makes this span ~free, which
         # is exactly what it is there to show.
-        plan = (compiled.query_plan(query) if compiled is not None
-                else shared_query_plan(query))
+        plan = compiled.query_plan(query)
     with _span("engine.freeze"):
         # The chase already froze the canonical solution for its own
-        # conformance check; reuse that snapshot instead of re-walking the
-        # tree (the span then shows what the reuse saves).
-        frozen = (result.frozen if result.frozen is not None
-                  else result.tree.freeze())
-    stats = compiled.stats if compiled is not None else None
+        # conformance check; the span shows what reusing that snapshot
+        # costs instead of re-walking the tree.
+        frozen = result.frozen
     with _span("engine.plan_run"):
         answers = {
-            tup for tup in plan.answers(frozen, order, stats=stats)
+            tup for tup in plan.answers(frozen, order, stats=compiled.stats)
             if all(is_constant(value) for value in tup)
         }
     return CertainAnswers(True, answers, order, result.tree, result)

@@ -125,11 +125,10 @@ def canonical_solution(setting: DataExchangeSetting, source_tree: XMLTree,
     """``cps(T)`` followed by the chase: the canonical solution of Section 6.1.
 
     Returns a failing :class:`ChaseResult` when no solution exists
-    (Lemma 6.15 b).  ``compiled`` hands the pre-solution its pre-lowered
-    STD source plans (see :func:`~repro.exchange.presolution.canonical_pre_solution`).
+    (Lemma 6.15 b).  ``compiled`` is passed on to the pre-solution, which
+    checks it, or compiles the setting without one (see
+    :func:`~repro.exchange.presolution.canonical_pre_solution`).
     """
-    if compiled is not None:
-        compiled.check_owns(setting)
     with _span("engine.chase"):
         factory = nulls or NullFactory()
         pre_solution = canonical_pre_solution(setting, source_tree, factory,

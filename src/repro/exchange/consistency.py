@@ -28,6 +28,7 @@ variables in source patterns), which the caller can ask to have verified.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Set, Tuple)
@@ -74,19 +75,36 @@ class _GoalSearch:
     States are (element type, patterns to witness *at* the root, patterns to
     witness *somewhere in* the subtree).  Completed results are memoised;
     states currently on the recursion path are cut (a minimal witness never
-    repeats a state along a root-to-leaf path)."""
+    repeats a state along a root-to-leaf path).
+
+    A compiled setting shares one search across every request, so one
+    search runs at a time: ``_visiting`` is *the* recursion path, and a
+    state another thread is expanding must not look like a cycle."""
 
     def __init__(self, dtd: DTD) -> None:
         self.dtd = dtd
         self.realizable = dtd.realizable_types()
         self._memo: Dict[Tuple[str, FrozenSet, FrozenSet], bool] = {}
         self._visiting: Set[Tuple[str, FrozenSet, FrozenSet]] = set()
+        self._lock = threading.Lock()
+
+    # The memo travels with a pickled compiled setting; the lock stays
+    # behind (searches pickled by older versions carry none).
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     def satisfiable(self, patterns: Iterable[TreePattern]) -> bool:
         goals = frozenset(patterns)
         if self.dtd.root not in self.realizable:
             return False
-        return self._can_build(self.dtd.root, frozenset(), goals)
+        with self._lock:
+            return self._can_build(self.dtd.root, frozenset(), goals)
 
     # -- core recursion --------------------------------------------------- #
 
@@ -294,29 +312,21 @@ def check_consistency_general(setting: DataExchangeSetting,
     targets.  Exact for non-recursive source DTDs within the caps; bounded
     (sound for "consistent", best-effort for "inconsistent") otherwise.
 
-    ``compiled`` (a :class:`repro.engine.CompiledSetting` for this setting)
-    supplies the precomputed satisfiability verdict, the cached skeleton
-    enumeration, the attribute-erased dependencies and a goal-search object
-    whose memo table persists across calls.
+    The procedure runs on the setting's :class:`repro.engine.CompiledSetting`
+    (``compiled``, or one compiled for this call; see
+    :func:`repro.engine.compiled.compiled_for`): its satisfiability verdict,
+    cached skeleton enumeration, attribute-erased dependencies and a goal
+    search whose memo table persists across calls.
     """
-    if compiled is not None:
-        compiled.check_owns(setting)
-        if not compiled.source_satisfiable:
-            return ConsistencyResult(False, "general", True,
-                                     detail="SAT(D_S) is empty")
-        skeletons, complete = compiled.source_skeletons(
-            max_trees=max_source_trees, max_depth=max_depth)
-        search = compiled.goal_search()
-        erased = compiled.erased_stds
-    else:
-        if not setting.source_dtd.is_satisfiable():
-            return ConsistencyResult(False, "general", True,
-                                     detail="SAT(D_S) is empty")
-        skeletons, complete = minimal_source_skeletons(
-            setting.source_dtd, max_trees=max_source_trees, max_depth=max_depth)
-        search = _GoalSearch(setting.target_dtd)
-        erased = [(dep.source.erase_attributes(), dep.target.erase_attributes())
-                  for dep in setting.stds]
+    from ..engine.compiled import compiled_for
+    compiled = compiled_for(setting, compiled)
+    if not compiled.source_satisfiable:
+        return ConsistencyResult(False, "general", True,
+                                 detail="SAT(D_S) is empty")
+    skeletons, complete = compiled.source_skeletons(
+        max_trees=max_source_trees, max_depth=max_depth)
+    search = compiled.goal_search()
+    erased = compiled.erased_stds
     for skeleton in skeletons:
         fired = [target for source, target in erased
                  if pattern_holds(skeleton, source)]
@@ -336,24 +346,18 @@ def check_consistency(setting: DataExchangeSetting,
 
     ``method`` is ``"auto"`` (nested-relational fast path when applicable),
     ``"nested-relational"`` (Theorem 4.5, O(n·m²)) or ``"general"``
-    (Theorem 4.1 decision problem).  ``compiled`` supplies precomputed
-    setting-level state (see :func:`repro.engine.compile_setting`).
+    (Theorem 4.1 decision problem).  Both procedures run on one
+    :class:`repro.engine.CompiledSetting`: ``compiled``, or one compiled for
+    this call (see :func:`repro.engine.compiled.compiled_for`).
     """
-    if compiled is not None:
-        compiled.check_owns(setting)
-    if require_distinct_variables:
-        distinct = (compiled.distinct_source_variables if compiled is not None
-                    else setting.has_distinct_source_variables())
-        if not distinct:
-            raise ValueError(
-                "a source pattern repeats a variable; Section 4 assumes "
-                "pairwise-distinct variables in source patterns")
-    if compiled is not None:
-        nested = compiled.nested_relational
-    else:
-        nested = (setting.source_dtd.is_nested_relational()
-                  and setting.target_dtd.is_nested_relational())
-    if method == "nested-relational" or (method == "auto" and nested):
+    from ..engine.compiled import compiled_for
+    compiled = compiled_for(setting, compiled)
+    if require_distinct_variables and not compiled.distinct_source_variables:
+        raise ValueError(
+            "a source pattern repeats a variable; Section 4 assumes "
+            "pairwise-distinct variables in source patterns")
+    if method == "nested-relational" or (method == "auto"
+                                         and compiled.nested_relational):
         outcome = check_consistency_nested_relational(
             setting, require_distinct_variables=False, compiled=compiled)
         return ConsistencyResult(outcome.consistent, "nested-relational", True,

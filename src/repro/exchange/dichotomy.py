@@ -17,13 +17,10 @@ setting it is decidable if it falls in the tractable case".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from .setting import DataExchangeSetting
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from ..engine.compiled import CompiledSetting
 
 __all__ = ["DichotomyReport", "classify_setting"]
 
@@ -51,27 +48,14 @@ class DichotomyReport:
 
 
 def classify_setting(setting: DataExchangeSetting,
-                     univocality_bound: Optional[int] = None,
-                     compiled: Optional["CompiledSetting"] = None) -> DichotomyReport:
+                     univocality_bound: Optional[int] = None) -> DichotomyReport:
     """Classify a setting against the paper's dichotomy.
 
     ``univocality_bound`` is forwarded to the univocality decision procedure
-    (see :mod:`repro.regexlang.univocal`).  When ``compiled`` (a
-    :class:`repro.engine.CompiledSetting` for this setting) is given and no
-    custom bound is requested, the precomputed report is returned directly.
+    (see :mod:`repro.regexlang.univocal`).  This is what builds
+    :attr:`repro.engine.CompiledSetting.dichotomy`; the cached report is
+    served by :meth:`repro.engine.ExchangeEngine.classify`.
     """
-    if compiled is not None:
-        compiled.check_owns(setting)
-        if univocality_bound is None:
-            # Fresh containers so caller mutation (reports are plain
-            # dataclasses meant for display) cannot poison the cached report.
-            report = compiled.dichotomy
-            return replace(
-                report,
-                target_rules={element: dict(info)
-                              for element, info in report.target_rules.items()},
-                std_classes=list(report.std_classes),
-                reasons=list(report.reasons))
     reasons: List[str] = []
     std_classes = setting.std_classes()
     fully_specified = all(cls == "fully-specified" for cls in std_classes)

@@ -57,42 +57,27 @@ def check_consistency_nested_relational(
     variable (the reduction of Claim 4.2 is only valid under the
     distinct-variable proviso of Section 4).
 
-    ``compiled`` (a :class:`repro.engine.CompiledSetting` for this setting)
-    supplies the class verdicts, the unique ``D°_S`` / ``D*_T`` skeletons and
-    the attribute-erased dependencies, so repeated checks skip all regex work.
+    The check runs on the setting's :class:`repro.engine.CompiledSetting`
+    (``compiled``, or one compiled for this call; see
+    :func:`repro.engine.compiled.compiled_for`): its class verdicts, the
+    unique ``D°_S`` / ``D*_T`` skeletons and the attribute-erased
+    dependencies, so repeated checks on one handle skip all regex work.
     """
-    source_dtd = setting.source_dtd
-    target_dtd = setting.target_dtd
-    if compiled is not None:
-        compiled.check_owns(setting)
-        if not compiled.source_nested_relational:
-            raise ValueError("the source DTD is not nested-relational")
-        if not compiled.target_nested_relational:
-            raise ValueError("the target DTD is not nested-relational")
-    else:
-        if not source_dtd.is_nested_relational():
-            raise ValueError("the source DTD is not nested-relational")
-        if not target_dtd.is_nested_relational():
-            raise ValueError("the target DTD is not nested-relational")
-    if require_distinct_variables:
-        distinct = (compiled.distinct_source_variables if compiled is not None
-                    else setting.has_distinct_source_variables())
-        if not distinct:
-            raise ValueError(
-                "a source pattern repeats a variable; the Section 4 consistency "
-                "analysis assumes pairwise-distinct variables in source patterns")
-
-    if compiled is not None:
-        source_skeleton, target_skeleton = compiled.nested_relational_skeletons()
-        erased = compiled.erased_stds
-    else:
-        source_skeleton = source_dtd.nested_relational_lower().unique_tree()
-        target_skeleton = target_dtd.nested_relational_upper().unique_tree()
-        erased = [(dep.source.erase_attributes(), dep.target.erase_attributes())
-                  for dep in setting.stds]
+    from ..engine.compiled import compiled_for
+    compiled = compiled_for(setting, compiled)
+    if not compiled.source_nested_relational:
+        raise ValueError("the source DTD is not nested-relational")
+    if not compiled.target_nested_relational:
+        raise ValueError("the target DTD is not nested-relational")
+    if require_distinct_variables and not compiled.distinct_source_variables:
+        raise ValueError(
+            "a source pattern repeats a variable; the Section 4 consistency "
+            "analysis assumes pairwise-distinct variables in source patterns")
+    source_skeleton, target_skeleton = compiled.nested_relational_skeletons()
 
     culprits: List[STD] = []
-    for dependency, (source_pattern, target_pattern) in zip(setting.stds, erased):
+    for dependency, (source_pattern, target_pattern) in zip(
+            setting.stds, compiled.erased_stds):
         if (pattern_holds(source_skeleton, source_pattern)
                 and not pattern_holds(target_skeleton, target_pattern)):
             culprits.append(dependency)

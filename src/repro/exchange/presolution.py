@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 from ..patterns.formula import NodePattern, TreePattern, Variable
-from ..patterns.plan import PatternPlan, shared_pattern_plan
+from ..patterns.plan import PatternPlan
 from ..xmlmodel.frozen import FrozenTree
 from ..xmlmodel.tree import XMLTree
 from ..xmlmodel.values import NullFactory, Value
@@ -90,35 +90,33 @@ def canonical_pre_solution(setting: DataExchangeSetting, source_tree: XMLTree,
     satisfying source assignment.
 
     The source tree is frozen once and every STD's source pattern is
-    evaluated as a compiled plan over that snapshot; ``compiled`` (a
-    :class:`repro.engine.CompiledSetting` for this setting) supplies the
-    plans pre-lowered at compile time, so the request path never touches
-    the pattern AST.
+    evaluated as the compiled plan the setting's
+    :class:`repro.engine.CompiledSetting` lowered at compile time, so the
+    request path never touches the pattern AST.  ``compiled`` is that
+    handle; without one the setting is compiled for this call (see
+    :func:`repro.engine.compiled.compiled_for`).
     """
-    if compiled is not None:
-        compiled.check_owns(setting)
+    from ..engine.compiled import compiled_for
+    compiled = compiled_for(setting, compiled)
     factory = nulls or NullFactory()
     root_label = setting.target_dtd.root
     result = XMLTree(root_label, ordered=False)
-    if compiled is None or not compiled.fully_specified:
+    if not compiled.fully_specified:
         for dependency in setting.stds:
             if not dependency.is_fully_specified(root_label):
                 raise PreSolutionError(
                     f"STD {dependency} is not fully specified; "
                     "canonical pre-solutions are defined for fully-specified STDs only")
-    plans = (compiled.std_source_plans if compiled is not None
-             else [shared_pattern_plan(dependency.source)
-                   for dependency in setting.stds])
-    stats = compiled.stats if compiled is not None else None
     frozen = source_tree.freeze()
-    for dependency, plan in zip(setting.stds, plans):
-        _instantiate_std(result, dependency, frozen, factory, plan, stats)
+    for dependency, plan in zip(setting.stds, compiled.std_source_plans):
+        _instantiate_std(result, dependency, frozen, factory, plan,
+                         compiled.stats)
     return result
 
 
 def _instantiate_std(result: XMLTree, dependency: STD, frozen: FrozenTree,
                      factory: NullFactory, plan: PatternPlan,
-                     stats: Optional["CacheStats"] = None) -> None:
+                     stats: "CacheStats") -> None:
     target = dependency.target
     assert isinstance(target, NodePattern)
     source_vars = dependency.source_variables()

@@ -28,7 +28,8 @@ cost **once per query** instead of once per (query, node):
   that pass a ``stats`` recorder get one ``plan_join_runs`` event per
   pattern run;
 * :class:`PlanCache` is a bounded, counted, thread-safe LRU keyed by
-  ``Query.fingerprint()`` — the engine and every service shard reuse plans
+  ``Query.fingerprint()``; each compiled setting owns one, counted into
+  its ``CacheStats``, so the engine and every service shard reuse plans
   across requests.  Per-tree spec resolution (label/attribute interning)
   is cached on the plan itself, keyed weakly by the frozen snapshot, so
   repeat evaluation of a hot document skips the rebind loop.
@@ -61,8 +62,7 @@ from .queries import (ConjunctionQuery, ExistsQuery, PatternQuery, Query,
                       UnionQuery)
 
 __all__ = ["PatternPlan", "QueryPlan", "PlanCache",
-           "compile_pattern", "compile_query",
-           "shared_pattern_plan", "shared_query_plan"]
+           "compile_pattern", "compile_query"]
 
 #: A slot row: one assignment as a fixed-width tuple, ``None`` = unbound.
 Row = Tuple[Optional[Value], ...]
@@ -723,6 +723,9 @@ def compile_query(query: Query) -> QueryPlan:
 # --------------------------------------------------------------------- #
 
 def _query_fingerprint(query: Query) -> str:
+    """Not called.  Caches pickled by older versions carry this function
+    as their ``_key`` field, so loading a store they wrote needs the name
+    (:meth:`PlanCache.__setstate__` then drops the field)."""
     return query.fingerprint()
 
 
@@ -731,85 +734,59 @@ class PlanCache:
 
     Keys are ``Query.fingerprint()`` digests, so syntactically identical
     queries share one plan.  Every hit, miss and eviction is recorded
-    once, under ``name``, into ``stats`` — the
-    :class:`~repro.engine.stats.CacheStats` it was given (the compiled
-    setting passes its own, which is how ``plan_cache_*`` counters reach
-    every ``EngineResult.cache`` snapshot) or, for a standalone cache, one
-    it creates on first use.  Counters only ever move through
-    ``CacheStats`` methods (rule RL004), so every snapshot stays balanced.
-    Two threads racing past the lookup may both compile — the counters
-    then truthfully report two misses, and the first stored plan wins
-    (mirroring the engine's result cache).
+    once, as ``plan_cache``, into ``stats`` — the
+    :class:`~repro.engine.stats.CacheStats` of the cache's owner (a
+    compiled setting passes its own, which is how ``plan_cache_*``
+    counters reach every ``EngineResult.cache`` snapshot).  Counters only
+    ever move through ``CacheStats`` methods (rule RL004), so every
+    snapshot stays balanced.  Two threads racing past the lookup may both
+    compile — the counters then truthfully report two misses, and the
+    first stored plan wins (mirroring the engine's result cache).
     """
 
-    def __init__(self, maxsize: Optional[int] = None,
-                 stats: Optional[Any] = None,
-                 name: str = "plan_cache", *,
-                 key: Optional[Any] = None,
-                 compiler: Optional[Any] = None) -> None:
+    def __init__(self, stats: Any, maxsize: Optional[int] = None) -> None:
         if maxsize is not None and maxsize < 1:
             raise ValueError(f"maxsize must be a positive integer or None "
                              f"(unbounded), got {maxsize!r}")
         self.maxsize = maxsize
-        self.name = name
-        self._stats = stats
-        #: Cache key and compile functions — query plans by default; the
-        #: module-level pattern fallback reuses the same machinery with
-        #: ``key=str, compiler=compile_pattern``.  Module-level defaults
-        #: keep the cache picklable (compiled settings ship to workers).
-        self._key = key if key is not None else _query_fingerprint
-        self._compiler = compiler if compiler is not None else compile_query
-        self._plans: "OrderedDict[str, Any]" = OrderedDict()
+        self.stats = stats
+        self._plans: "OrderedDict[str, QueryPlan]" = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._plans)
 
     @property
-    def stats(self) -> Any:
-        """The ``CacheStats`` this cache records into.  A standalone cache
-        creates its own lazily: importing ``engine.stats`` at module level
-        would cycle through ``engine.__init__`` back into this module while
-        the module-level fallback caches below are being constructed."""
-        if self._stats is None:
-            from ..engine.stats import CacheStats
-            with self._lock:
-                if self._stats is None:
-                    self._stats = CacheStats()
-        return self._stats
-
-    @property
     def hits(self) -> int:
-        return self.stats.hits(self.name)
+        return self.stats.hits("plan_cache")
 
     @property
     def misses(self) -> int:
-        return self.stats.misses(self.name)
+        return self.stats.misses("plan_cache")
 
     @property
     def evictions(self) -> int:
-        return self.stats.evictions(self.name)
+        return self.stats.evictions("plan_cache")
 
     def snapshot(self) -> Dict[str, int]:
-        """This cache's flat view: ``<name>_hits``/``_misses``/
-        ``_evictions`` and the live ``<name>_entries``."""
-        return {f"{self.name}_hits": self.hits,
-                f"{self.name}_misses": self.misses,
-                f"{self.name}_evictions": self.evictions,
-                f"{self.name}_entries": len(self._plans)}
+        """This cache's flat view: ``plan_cache_hits``/``_misses``/
+        ``_evictions`` and the live ``plan_cache_entries``."""
+        return {"plan_cache_hits": self.hits,
+                "plan_cache_misses": self.misses,
+                "plan_cache_evictions": self.evictions,
+                "plan_cache_entries": len(self._plans)}
 
-    def get(self, query: Any) -> Any:
+    def get(self, query: Query) -> QueryPlan:
         """The plan for ``query``, compiling (and caching) on first use."""
-        key = self._key(query)
-        stats = self.stats
+        key = query.fingerprint()
         with self._lock:
             plan = self._plans.get(key)
             if plan is not None:
                 self._plans.move_to_end(key)
-                stats.hit(self.name)
+                self.stats.hit("plan_cache")
                 return plan
-            stats.miss(self.name)
-        compiled = self._compiler(query)
+            self.stats.miss("plan_cache")
+        compiled = compile_query(query)
         with self._lock:
             existing = self._plans.get(key)
             if existing is not None:
@@ -818,7 +795,7 @@ class PlanCache:
             if self.maxsize is not None:
                 while len(self._plans) > self.maxsize:
                     self._plans.popitem(last=False)
-                    stats.evict(self.name)
+                    self.stats.evict("plan_cache")
         return compiled
 
     def clear(self) -> None:
@@ -828,15 +805,20 @@ class PlanCache:
 
     # Pickling (compiled settings travel to shard-host workers and into the
     # store): the lock stays behind; cached plans travel, so the receiver
-    # arrives plan-warm.  Caches pickled by older versions also carry a
-    # retired ``_counters`` shadow copy of their counts; it is dropped.
+    # arrives plan-warm.  Caches pickled by older versions carry retired
+    # fields — a ``_counters`` shadow copy of their counts, their ``name``,
+    # ``_key`` and ``_compiler`` knobs — which are dropped, and keep their
+    # stats under ``_stats``.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]
         return state
 
     def __setstate__(self, state: dict) -> None:
-        state.pop("_counters", None)
+        for retired in ("_counters", "name", "_key", "_compiler"):
+            state.pop(retired, None)
+        if "_stats" in state:
+            state["stats"] = state.pop("_stats")
         self.__dict__.update(state)
         self._lock = threading.Lock()
 
@@ -844,31 +826,3 @@ class PlanCache:
         bound = "" if self.maxsize is None else f"/{self.maxsize}"
         return (f"<PlanCache entries={len(self._plans)}{bound} "
                 f"hits={self.hits} misses={self.misses}>")
-
-
-# --------------------------------------------------------------------- #
-# Module-level fallback caches
-# --------------------------------------------------------------------- #
-#
-# The functional front door (certain_answers / canonical_pre_solution
-# without a `compiled=` handle) has no CompiledSetting to hang plans on;
-# these bounded module caches give it the same compile-once amortisation,
-# so the uncached path never re-lowers a plan it has seen before.  Both
-# key on canonical pattern/query text (what `Query.fingerprint()` hashes),
-# so equal formulae share one plan regardless of which setting they came
-# from.
-
-_SHARED_QUERY_PLANS = PlanCache(maxsize=512, name="shared_plan_cache")
-_SHARED_PATTERN_PLANS = PlanCache(maxsize=512, name="shared_pattern_cache",
-                                  key=str, compiler=compile_pattern)
-
-
-def shared_query_plan(query: Query) -> QueryPlan:
-    """The plan for ``query`` from the process-wide fallback cache."""
-    return _SHARED_QUERY_PLANS.get(query)
-
-
-def shared_pattern_plan(pattern: TreePattern) -> PatternPlan:
-    """The plan for ``pattern`` from the process-wide fallback cache
-    (keyed on the pattern's canonical text)."""
-    return _SHARED_PATTERN_PLANS.get(pattern)

@@ -313,49 +313,30 @@ class FrozenTree:
     # Fingerprint
     # ------------------------------------------------------------------ #
 
-    def _fold_bottom_up(self, combine):
-        """Bottom-up fold over the frozen arrays:
-        ``combine(label, attrs_key, child_results)`` runs once per node in
-        ``post_order`` (children first), with the same canonical attrs key
-        :func:`~repro.xmlmodel.tree._attrs_key` produces for mutable trees.
-        The single traversal behind :meth:`structural_key` and
-        :meth:`fingerprint`."""
-        attrs_of: Dict[int, List[Tuple[str, tuple]]] = {}
-        for aid, table in enumerate(self.attr_tables):
-            name = self.attr_names[aid]
-            for pos, value in table.items():
-                attrs_of.setdefault(pos, []).append((name, value_key(value)))
-        results: List[object] = [None] * self.n
-        for pos in self.post_order:  # children before parents
-            child_results = [results[c] for c in self.children(pos)]
-            attrs = tuple(sorted(attrs_of.get(pos, ())))
-            results[pos] = combine(self.label(pos), attrs, child_results)
-        return results[0]
-
-    def structural_key(self) -> tuple:
-        """The same canonical key :meth:`XMLTree.structural_key` computes,
-        rebuilt iteratively from the frozen arrays."""
-        def combine(label: str, attrs: tuple, child_keys: list) -> tuple:
-            if not self.ordered:
-                child_keys.sort()
-            return (label, attrs, tuple(child_keys))
-
-        return self._fold_bottom_up(combine)
-
     def fingerprint(self) -> str:
         """Identical to the source :meth:`XMLTree.fingerprint` (hex SHA-256
         of the root's Merkle subtree digest plus the ordered flag), computed
-        iteratively from the frozen arrays and cached — a frozen tree is
-        immutable, so the cache never invalidates.  Frozen and mutable
-        views of the same document share cache identity."""
+        iteratively from the frozen arrays — node digests in ``post_order``,
+        children first, over the same canonical attrs key
+        :func:`~repro.xmlmodel.tree._attrs_key` produces for mutable trees —
+        and cached: a frozen tree is immutable, so the cache never
+        invalidates.  Frozen and mutable views of the same document share
+        cache identity."""
         if self._fingerprint is None:
             from .tree import _node_digest
-            root_digest = self._fold_bottom_up(
-                lambda label, attrs, child_digests: _node_digest(
-                    label, attrs, child_digests, self.ordered))
+            attrs_of: Dict[int, List[Tuple[str, tuple]]] = {}
+            for aid, table in enumerate(self.attr_tables):
+                name = self.attr_names[aid]
+                for pos, value in table.items():
+                    attrs_of.setdefault(pos, []).append((name, value_key(value)))
+            digests: List[bytes] = [b""] * self.n
+            for pos in self.post_order:  # children before parents
+                digests[pos] = _node_digest(
+                    self.label(pos), tuple(sorted(attrs_of.get(pos, ()))),
+                    [digests[c] for c in self.children(pos)], self.ordered)
             hasher = hashlib.sha256()
             hasher.update(b"ordered" if self.ordered else b"unordered")
-            hasher.update(root_digest)
+            hasher.update(digests[0])
             self._fingerprint = hasher.hexdigest()
         return self._fingerprint
 

@@ -1,14 +1,19 @@
 """Tests for the consistency problem (Section 4, Theorems 4.1 / 4.5, Prop 4.4)."""
 
 import itertools
+import pickle
+import sys
+import threading
 
 import pytest
 
+from repro import ExchangeEngine
 from repro.exchange import (DataExchangeSetting, check_consistency,
                             check_consistency_general,
                             check_consistency_nested_relational,
                             minimal_source_skeletons, pattern_satisfiable,
                             target_satisfiable, std)
+from repro.exchange.consistency import _GoalSearch
 from repro.patterns import parse_pattern
 from repro.reductions import proposition_4_4
 from repro.reductions.sat import CNFFormula, dpll_satisfiable, random_3cnf
@@ -194,3 +199,101 @@ class TestFrontDoor:
         result = check_consistency(setting, method="general")
         assert not result.consistent
         assert "empty" in result.detail
+
+
+class TestSharedGoalSearch:
+    """A compiled setting shares one goal search across requests: a state
+    that another thread is expanding must not read as a cycle, and the
+    search travels through pickle without its lock."""
+
+    @staticmethod
+    def _setting():
+        source = DTD("r", {"r": "A", "A": ""}, {"A": ["a"]})
+        target = DTD("t", {"t": "B | C", "B": "D", "C": "", "D": ""})
+        return DataExchangeSetting(source, target,
+                                   [std("t[B[D]]", "r[A(@a=x)]")])
+
+    def test_concurrent_checks_match_the_serial_verdict(self, monkeypatch):
+        serial = ExchangeEngine(self._setting()).check_consistency(
+            strategy="general").ok
+        assert serial is True
+        engine = ExchangeEngine(self._setting())
+        parked, release, entered = (threading.Event(), threading.Event(),
+                                    threading.Event())
+        expand, satisfiable = _GoalSearch._expand, _GoalSearch.satisfiable
+
+        def parking_expand(search, *args):
+            if threading.current_thread().name == "first" \
+                    and not parked.is_set():
+                parked.set()
+                release.wait(10)
+            return expand(search, *args)
+
+        def announcing_satisfiable(search, patterns):
+            if threading.current_thread().name == "second":
+                entered.set()
+            return satisfiable(search, patterns)
+
+        monkeypatch.setattr(_GoalSearch, "_expand", parking_expand)
+        monkeypatch.setattr(_GoalSearch, "satisfiable", announcing_satisfiable)
+        verdicts = {}
+
+        def check():
+            verdicts[threading.current_thread().name] = \
+                engine.check_consistency(strategy="general").ok
+
+        first = threading.Thread(target=check, name="first")
+        second = threading.Thread(target=check, name="second")
+        first.start()
+        assert parked.wait(10)
+        second.start()
+        assert entered.wait(10)
+        # Give the second search time to run into the first one's state
+        # (or, serialised, to wait for it), then let the first finish.
+        second.join(0.2)
+        release.set()
+        first.join(10)
+        second.join(10)
+        assert verdicts == {"first": serial, "second": serial}
+
+    def test_racing_first_checks_agree(self):
+        """More threads than cores race each fresh engine's first general
+        check, switching every microsecond: every verdict is the serial
+        one."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                engine = ExchangeEngine(self._setting())
+                start = threading.Barrier(8)
+                verdicts = []
+
+                def check():
+                    start.wait(10)
+                    verdicts.append(engine.check_consistency(
+                        strategy="general").ok)
+
+                threads = [threading.Thread(target=check) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert verdicts == [True] * 8
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pickle_drops_and_recreates_the_lock(self):
+        setting = self._setting()
+        search = _GoalSearch(setting.target_dtd)
+        goal = parse_pattern("t[B[D]]")
+        assert search.satisfiable([goal])
+        state = search.__getstate__()
+        assert "_lock" not in state
+        restored = pickle.loads(pickle.dumps(search))
+        assert restored._memo == search._memo
+        assert restored.satisfiable([goal])
+        # A search pickled before the lock existed carries none.
+        legacy = _GoalSearch.__new__(_GoalSearch)
+        legacy.__setstate__(state)
+        assert legacy.satisfiable([goal])

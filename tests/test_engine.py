@@ -4,9 +4,10 @@ import pytest
 
 from repro import (ChaseError, CompiledSetting, DataExchangeSetting,
                    EngineResult, ExchangeEngine, ExchangeError, NoSolutionError,
-                   canonical_solution, certain_answers, check_consistency,
-                   check_consistency_general, classify_setting, compile_setting,
-                   std)
+                   canonical_pre_solution, canonical_solution, certain_answers,
+                   check_consistency, check_consistency_general,
+                   check_consistency_nested_relational, classify_setting,
+                   compile_setting, std)
 from repro.workloads import library, nested_relational
 from repro.xmlmodel import DTD, XMLTree
 
@@ -47,25 +48,40 @@ class TestCompiledSetting:
         assert compiled.dichotomy.tractable == legacy.tractable
         assert compiled.dichotomy.std_classes == legacy.std_classes
         assert compiled.dichotomy.target_rules == legacy.target_rules
-        # classify_setting with the compiled handle serves the cached verdicts
-        # through a defensive copy: mutating it must not poison the cache.
-        served = classify_setting(company_setting, compiled=compiled)
+        # engine.classify serves the cached verdicts through a defensive
+        # copy: mutating it must not poison the cache.
+        engine = ExchangeEngine(compiled)
+        served = engine.classify().payload
         assert served == compiled.dichotomy
         served.reasons.append("mutated by caller")
         served.target_rules.clear()
         assert compiled.dichotomy.reasons == legacy.reasons
         assert compiled.dichotomy.target_rules == legacy.target_rules
+        again = engine.classify()
+        assert again.payload == legacy
+        assert again.detail == legacy.summary()
 
     def test_mismatched_compiled_handle_is_rejected(self, library_setting,
                                                     company_setting):
         wrong = compile_setting(company_setting)
-        with pytest.raises(ValueError):
-            check_consistency(library_setting, compiled=wrong)
-        with pytest.raises(ValueError):
-            certain_answers(library_setting, library.figure_1_source(),
-                            library.query_writer_of("X"), compiled=wrong)
-        with pytest.raises(ValueError):
-            classify_setting(library_setting, compiled=wrong)
+        source = library.figure_1_source()
+        calls = [
+            lambda: check_consistency(library_setting, compiled=wrong),
+            lambda: check_consistency_general(library_setting,
+                                              compiled=wrong),
+            lambda: check_consistency_nested_relational(library_setting,
+                                                        compiled=wrong),
+            lambda: canonical_pre_solution(library_setting, source,
+                                           compiled=wrong),
+            lambda: canonical_solution(library_setting, source,
+                                       compiled=wrong),
+            lambda: certain_answers(library_setting, source,
+                                    library.query_writer_of("X"),
+                                    compiled=wrong),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="different DataExchangeSetting"):
+                call()
 
     def test_nested_relational_skeletons_rejected_outside_class(
             self, figure_6_setting):
@@ -73,6 +89,39 @@ class TestCompiledSetting:
         assert not compiled.nested_relational
         with pytest.raises(ValueError):
             compiled.nested_relational_skeletons()
+
+
+class TestBareCallsCompileOnce:
+    """A bare functional call compiles its setting once, at the outermost
+    entry point, and every inner stage runs on that handle."""
+
+    CALLS = {
+        "certain_answers": lambda setting, source: certain_answers(
+            setting, source,
+            library.query_writer_of("Computational Complexity")),
+        "canonical_solution": canonical_solution,
+        "check_consistency": lambda setting, source: check_consistency(
+            setting),
+        "check_consistency_via_general": lambda setting, source:
+            check_consistency(setting, method="general"),
+        "check_consistency_general": lambda setting, source:
+            check_consistency_general(setting),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_one_compiled_setting_per_call(self, monkeypatch, name,
+                                           library_setting, figure_1_source):
+        built = []
+        original = CompiledSetting.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledSetting, "__init__", counting_init)
+        self.CALLS[name](library_setting, figure_1_source)
+        assert len(built) == 1
+        assert built[0].setting is library_setting
 
 
 class TestEngineParityQuickstart:

@@ -7,6 +7,8 @@ union alignment, the frozen-tree layout, and plan-cache hit/miss/eviction
 accounting through the engine and the serving layer.
 """
 
+import pickle
+
 import pytest
 
 from repro import CacheStats, ExchangeEngine, XMLTree, compile_setting
@@ -174,7 +176,7 @@ class TestUnionPlans:
 
 class TestPlanCache:
     def test_hit_miss_accounting(self):
-        cache = PlanCache(maxsize=8)
+        cache = PlanCache(CacheStats(), maxsize=8)
         query = library.query_writer_of("B")
         first = cache.get(query)
         assert (cache.hits, cache.misses) == (0, 1)
@@ -183,12 +185,12 @@ class TestPlanCache:
         assert len(cache) == 1
         # A given CacheStats records each event exactly once.
         shared = CacheStats()
-        PlanCache(stats=shared).get(query)
+        PlanCache(shared).get(query)
         assert shared.snapshot() == {"plan_cache_hits": 0,
                                      "plan_cache_misses": 1}
 
     def test_lru_eviction_accounting(self):
-        cache = PlanCache(maxsize=2)
+        cache = PlanCache(CacheStats(), maxsize=2)
         queries = [library.query_writer_of(title)
                    for title in ("A", "B", "C")]
         for query in queries:
@@ -202,7 +204,44 @@ class TestPlanCache:
             "plan_cache_hits": 0, "plan_cache_misses": 4,
             "plan_cache_evictions": 2, "plan_cache_entries": 2}
         with pytest.raises(ValueError):
-            PlanCache(maxsize=0)
+            PlanCache(CacheStats(), maxsize=0)
+
+    def test_unpickles_state_with_retired_fields(self, monkeypatch):
+        """Caches pickled by older versions carry ``name``, ``_key``,
+        ``_compiler`` and a ``_counters`` shadow copy, and keep their
+        stats under ``_stats``; such a cache loads and serves."""
+        from collections import Counter, OrderedDict
+
+        from repro.patterns import plan as plan_module
+
+        cached = library.query_writer_of("Computational Complexity")
+        stats = CacheStats()
+        old_state = {
+            "maxsize": 8, "name": "plan_cache", "_stats": stats,
+            "_key": plan_module._query_fingerprint,
+            "_compiler": compile_query,
+            "_plans": OrderedDict(
+                [(cached.fingerprint(), compile_query(cached))]),
+            "_counters": Counter({"plan_cache_misses": 1}),
+        }
+        monkeypatch.setattr(PlanCache, "__getstate__",
+                            lambda self: dict(old_state))
+        blob = pickle.dumps(PlanCache(CacheStats()))
+        monkeypatch.undo()
+        cache = pickle.loads(blob)
+        assert sorted(vars(cache)) == sorted(vars(PlanCache(CacheStats())))
+        assert len(cache) == 1 and cache.maxsize == 8
+        tree = ExchangeEngine(library.library_setting()).solve(
+            library.figure_1_source()).payload
+        assert cache.get(cached).answers(tree.freeze()) == \
+            cached.answers(tree) == {("Papadimitriou",)}
+        fresh = library.query_writer_of("Combinatorial Optimization")
+        cache.get(fresh)
+        assert cache.snapshot() == {
+            "plan_cache_hits": 1, "plan_cache_misses": 1,
+            "plan_cache_evictions": 0, "plan_cache_entries": 2}
+        assert pickle.loads(pickle.dumps(cache)).snapshot() == \
+            cache.snapshot()
 
     def test_engine_surfaces_plan_cache_counters(self):
         engine = ExchangeEngine(library.library_setting(), result_cache=False)

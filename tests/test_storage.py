@@ -650,3 +650,40 @@ class TestServiceStore:
         with pytest.raises(ValueError, match="not both"):
             AsyncExchangeService(registry=SettingRegistry(),
                                  store=CorpusStore(None))
+
+
+# --------------------------------------------------------------------- #
+# Stores written by earlier versions
+# --------------------------------------------------------------------- #
+
+class TestOldStore:
+    """``tests/fixtures/old_store`` was written by an earlier version (see
+    its README): one persisted library setting and one stored tree.  Its
+    pickles name that version's classes and fields, so it must keep
+    booting plan-warm as they change."""
+
+    def test_old_store_restores_plan_warm(self, tmp_path):
+        import asyncio
+        import shutil
+        from pathlib import Path
+
+        from repro.service import AsyncExchangeService
+
+        path = tmp_path / "store"
+        shutil.copytree(Path(__file__).parent / "fixtures" / "old_store",
+                        path)
+
+        async def restart():
+            async with AsyncExchangeService(executor="serial",
+                                            store=path) as service:
+                restored = service.restore_settings()
+                assert restored == [library.library_setting().fingerprint()]
+                result = await service.certain_answers(
+                    restored[0], _tree().fingerprint(),
+                    library.query_writer_of("Book-0"), ["w"])
+                stats = service.stats()["registry"]
+                assert stats["compiled_misses"] == 0
+                assert stats["prewarm_hits"] >= 1
+                return result.payload
+
+        assert asyncio.run(restart()) == {("Author-1",), ("Author-2",)}
