@@ -37,7 +37,7 @@ import time
 from pathlib import Path
 
 from repro.engine import ExchangeEngine, compile_setting
-from repro.service import SettingRegistry
+from repro.service import AsyncExchangeService, SettingRegistry
 from repro.storage import CorpusStore, UnknownDocumentError
 from repro.workloads.generated import benchmark_workload
 
@@ -183,12 +183,16 @@ def main(argv=None) -> int:
         # ------------------------------------------------------------- #
         with CorpusStore(store_path) as writer:
             writer.put_setting(compiled, prewarm=True)
-        registry = SettingRegistry(store=CorpusStore(store_path,
-                                                     read_only=True))
-        restored = registry.restore_from_store()
+        service = AsyncExchangeService(
+            registry=SettingRegistry(store=CorpusStore(store_path,
+                                                       read_only=True)),
+            executor="serial")
+        registry = service.registry
+        restored = service.restore_settings()
         answers = registry.shard(restored[0]).engine.certain_answers(
             fingerprints[0], query)
         registry_stats = registry.stats()
+        service.close()
         if (registry_stats["compiled_misses"] != 0
                 or registry_stats["prewarm_hits"] < 1):
             failures.append(

@@ -48,7 +48,7 @@ from .stats import CacheStats
 __all__ = ["CompiledSetting", "compile_setting", "compiled_for",
            "DEFAULT_PLAN_CACHE_MAXSIZE"]
 
-#: Default bound on the per-setting query-plan cache.  Plans are small
+#: Bound on the per-setting query-plan cache.  Plans are small
 #: (slot tables + op tuples), but the cache is keyed by query fingerprint
 #: and a long-lived shard sees an open-ended query stream — bounded LRU
 #: keeps the worst case flat while any realistic working set stays warm.
@@ -68,9 +68,7 @@ class CompiledSetting:
     on real recompilations, which the compile phase has already exhausted).
     """
 
-    def __init__(self, setting: DataExchangeSetting,
-                 plan_cache_maxsize: Optional[int] = DEFAULT_PLAN_CACHE_MAXSIZE
-                 ) -> None:
+    def __init__(self, setting: DataExchangeSetting) -> None:
         self.setting = setting
         self.stats = CacheStats()
 
@@ -118,7 +116,8 @@ class CompiledSetting:
         #: they surface in ``ExchangeEngine.stats`` (every
         #: ``EngineResult.cache``) and in the serving layer's shard and
         #: registry views.
-        self.plan_cache = PlanCache(self.stats, maxsize=plan_cache_maxsize)
+        self.plan_cache = PlanCache(self.stats,
+                                    maxsize=DEFAULT_PLAN_CACHE_MAXSIZE)
 
         # --- lazily memoised heavy machinery ------------------------------ #
         self._lock = threading.Lock()
@@ -248,19 +247,17 @@ class CompiledSetting:
                 f"[{', '.join(verdict) or 'general'}]>")
 
 
-def compile_setting(setting: DataExchangeSetting,
-                    plan_cache_maxsize: Optional[int] = DEFAULT_PLAN_CACHE_MAXSIZE
-                    ) -> CompiledSetting:
+def compile_setting(setting: DataExchangeSetting) -> CompiledSetting:
     """Precompute everything derivable from ``(D_S, D_T, Σ_ST)`` alone.
 
     The returned :class:`CompiledSetting` is the unit of reuse of the engine
     API: build it once per setting, then serve any number of per-tree
     requests (consistency checks, chases, certain-answer queries) without
     recompiling DTD content models, re-deriving structural verdicts or
-    re-lowering query plans (``plan_cache_maxsize`` bounds the per-query
-    plan LRU; ``None`` keeps it unbounded).
+    re-lowering query plans (the per-query plan LRU holds
+    :data:`DEFAULT_PLAN_CACHE_MAXSIZE` plans).
     """
-    return CompiledSetting(setting, plan_cache_maxsize=plan_cache_maxsize)
+    return CompiledSetting(setting)
 
 
 def compiled_for(setting: DataExchangeSetting,

@@ -45,7 +45,6 @@ view.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -72,6 +71,9 @@ __all__ = ["EngineResult", "ExchangeEngine"]
 #: A per-tree operand: the document itself, or — with a store attached —
 #: its fingerprint.
 TreeRef = Union[XMLTree, str]
+
+#: Bound on the LRU of thawed stored trees an engine with a store keeps.
+STORE_TREE_CACHE_MAXSIZE = 64
 
 #: Strategy names accepted by :meth:`ExchangeEngine.check_consistency`.
 CONSISTENCY_STRATEGIES = ("auto", "nested_relational", "general")
@@ -178,7 +180,6 @@ class ExchangeEngine:
         #: thawed trees fronting it, keyed by fingerprint.
         self._store: Optional["CorpusStore"] = None
         self._store_trees: "OrderedDict[str, XMLTree]" = OrderedDict()
-        self._store_tree_maxsize = 64
         # Guards the result cache, its counters and the request counter
         # against concurrent requests (the service's thread executor serves
         # one shard from many threads); computation happens outside the
@@ -195,27 +196,16 @@ class ExchangeEngine:
         """The attached corpus store, or ``None``."""
         return self._store
 
-    def attach_store(self, store: Union["CorpusStore", str, "os.PathLike"],
-                     *, read_only: bool = False,
-                     tree_cache_maxsize: int = 64) -> "CorpusStore":
-        """Attach a persistent corpus store (a :class:`CorpusStore` or a
-        store directory path, opened — and created, unless ``read_only`` —
-        on the spot).
+    def attach_store(self, store: "CorpusStore") -> "CorpusStore":
+        """Attach a persistent corpus store.
 
         Afterwards every per-tree method accepts a document fingerprint in
-        place of an inline tree; resolved trees are kept in a
-        ``tree_cache_maxsize``-bounded LRU so repeated requests against
-        the same document thaw it once.  Returns the attached store (handy
-        for ``engine.attach_store(path).put_tree(tree)``)."""
-        from ..storage import CorpusStore
-        if tree_cache_maxsize < 1:
-            raise ValueError(f"tree_cache_maxsize must be >= 1, "
-                             f"got {tree_cache_maxsize!r}")
-        if not isinstance(store, CorpusStore):
-            store = CorpusStore(store, read_only=read_only)
+        place of an inline tree; resolved trees are kept in an LRU of
+        :data:`STORE_TREE_CACHE_MAXSIZE` entries so repeated requests
+        against the same document thaw it once.  Returns the attached
+        store (handy for ``engine.attach_store(store).put_tree(tree)``)."""
         with self._lock:
             self._store = store
-            self._store_tree_maxsize = tree_cache_maxsize
             self._store_trees.clear()
         return store
 
@@ -246,7 +236,7 @@ class ExchangeEngine:
         with self._lock:
             self._store_trees[source] = tree
             self._store_trees.move_to_end(source)
-            while len(self._store_trees) > self._store_tree_maxsize:
+            while len(self._store_trees) > STORE_TREE_CACHE_MAXSIZE:
                 self._store_trees.popitem(last=False)
         return tree
 

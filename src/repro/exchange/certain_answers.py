@@ -100,9 +100,9 @@ def certain_answers(setting: DataExchangeSetting, source_tree: XMLTree,
         # is exactly what it is there to show.
         plan = compiled.query_plan(query)
     with _span("engine.freeze"):
-        # The chase already froze the canonical solution for its own
-        # conformance check; the span shows what reusing that snapshot
-        # costs instead of re-walking the tree.
+        # The chase's conformance check froze the canonical solution and the
+        # snapshot stays memoised on it; the span shows what reading it
+        # back costs.
         frozen = result.frozen
     with _span("engine.plan_run"):
         answers = {

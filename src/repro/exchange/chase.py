@@ -59,33 +59,22 @@ class ChaseStep:
 
 @dataclass
 class ChaseResult:
-    """Outcome of a chase sequence.
-
-    ``frozen`` is the snapshot of ``tree`` the final conformance sweep
-    already paid for on success — downstream query evaluation reuses it
-    instead of freezing the canonical solution a second time.  It is a
-    cache, not part of the result's identity, and is dropped when the
-    result is pickled (the loader re-freezes on demand).
-    """
+    """Outcome of a chase sequence."""
 
     success: bool
     tree: Optional[XMLTree]
     failure: Optional[str] = None
     steps: List[ChaseStep] = field(default_factory=list)
-    frozen: Optional["FrozenTree"] = None
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.success
 
-    def __getstate__(self) -> dict:
-        state = {name: getattr(self, name)
-                 for name in ("success", "tree", "failure", "steps")}
-        state["frozen"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
+    @property
+    def frozen(self) -> Optional["FrozenTree"]:
+        """The memoised snapshot of ``tree`` (``None`` without one): the
+        one the chase's final conformance check already built, which query
+        evaluation then reads."""
+        return None if self.tree is None else self.tree.freeze()
 
 
 def chase(target_dtd: DTD, tree: XMLTree,
@@ -109,14 +98,13 @@ def chase(target_dtd: DTD, tree: XMLTree,
                  max_depth=max_depth)
     except _ChaseFailure as failure:
         return ChaseResult(False, None, failure.reason, steps)
-    # Freeze the repaired tree once: the final conformance sweep runs over
-    # the snapshot's columns, and the snapshot rides along in the result so
-    # query evaluation never re-freezes the canonical solution.
-    frozen = working.freeze()
-    problems = target_dtd.conformance_violations_frozen(frozen, ordered=False)
+    # The final conformance sweep freezes the repaired tree; the snapshot
+    # stays memoised on it, so query evaluation (ChaseResult.frozen) reads
+    # the same one.
+    problems = target_dtd.conformance_violations(working, ordered=False)
     if problems:  # pragma: no cover - defensive; the chase repairs everything or fails
         return ChaseResult(False, None, "; ".join(problems), steps)
-    return ChaseResult(True, working, None, steps, frozen)
+    return ChaseResult(True, working, None, steps)
 
 
 def canonical_solution(setting: DataExchangeSetting, source_tree: XMLTree,

@@ -89,8 +89,9 @@ def canonical_pre_solution(setting: DataExchangeSetting, source_tree: XMLTree,
     child subtrees are the instantiated right-hand sides of the STDs, one per
     satisfying source assignment.
 
-    The source tree is frozen once and every STD's source pattern is
-    evaluated as the compiled plan the setting's
+    Every STD's source pattern runs on the source tree's memoised
+    snapshot (:meth:`~repro.xmlmodel.tree.XMLTree.freeze`) as the compiled
+    plan the setting's
     :class:`repro.engine.CompiledSetting` lowered at compile time, so the
     request path never touches the pattern AST.  ``compiled`` is that
     handle; without one the setting is compiled for this call (see

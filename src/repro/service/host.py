@@ -61,6 +61,10 @@ from .requests import ExchangeRequest, ServiceResult
 
 __all__ = ["ShardHost", "WorkerCrashError", "FrameError"]
 
+#: Seconds a worker gets to finish its current request at close (and a
+#: crashed worker to be reaped) before it is terminated.
+SHUTDOWN_TIMEOUT = 10.0
+
 
 class WorkerCrashError(RuntimeError):
     """A request was lost to a crashing worker twice (original + retry)."""
@@ -298,7 +302,6 @@ class ShardHost:
                  max_compiled: Optional[int] = None,
                  result_cache: bool = True,
                  result_cache_maxsize: Optional[int] = None,
-                 shutdown_timeout: float = 10.0,
                  store: Optional[Union[CorpusStore, str,
                                        "os.PathLike"]] = None) -> None:
         if workers is None:
@@ -306,7 +309,6 @@ class ShardHost:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
         self.workers = workers
-        self.shutdown_timeout = shutdown_timeout
         #: The corpus store, supervisor side.  The supervisor holds the
         #: *writable* handle (persist / ingest / crash-replay source);
         #: every worker opens the same directory read-only through its
@@ -397,7 +399,7 @@ class ShardHost:
             if self._closing or self._handles[handle.index] is not handle:
                 replacement = None  # closed, or another path restarted it
             else:
-                handle.process.join(timeout=self.shutdown_timeout)
+                handle.process.join(timeout=SHUTDOWN_TIMEOUT)
                 self._stats.count("worker_restarts")
                 replacement = self._spawn(handle.index)
                 self._handles[handle.index] = replacement
@@ -424,7 +426,7 @@ class ShardHost:
 
     def close(self) -> None:
         """Shut every worker down (idempotent).  Workers get
-        ``shutdown_timeout`` seconds to finish their current request, then
+        :data:`SHUTDOWN_TIMEOUT` seconds to finish their current request, then
         are terminated; still-pending calls fail with a closed-host error.
         """
         with self._lock:
@@ -435,7 +437,7 @@ class ShardHost:
         for handle in handles:
             handle.send_raw("shutdown")
         for handle in handles:
-            handle.process.join(timeout=self.shutdown_timeout)
+            handle.process.join(timeout=SHUTDOWN_TIMEOUT)
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=1.0)
@@ -448,7 +450,7 @@ class ShardHost:
                                        "still in flight"))
         for handle in handles:
             if handle.reader is not None:
-                handle.reader.join(timeout=self.shutdown_timeout)
+                handle.reader.join(timeout=SHUTDOWN_TIMEOUT)
 
     def __enter__(self) -> "ShardHost":
         return self
@@ -465,19 +467,25 @@ class ShardHost:
         hex digest, identical across processes and ``PYTHONHASHSEED``\\ s."""
         return int(fingerprint[:16], 16) % self.workers
 
-    def _call(self, index: int, op: str, payload: Any = None) -> Any:
-        """One frame to worker ``index``; blocks for (and returns) the
-        reply, re-raising whatever the worker raised."""
-        call = _PendingCall(op, payload)
+    def _submit(self, index: int, call: _PendingCall) -> None:
+        """Enqueue ``call`` on worker ``index``.  A handle that died between
+        routing and submission is re-read: the restart path has (or will
+        have) swapped in a replacement — unless the host is closing, which
+        raises instead of waiting for a replacement that never comes."""
         while True:
             with self._lock:
                 if self._closing:
                     raise RuntimeError("shard host is closed")
                 handle = self._handles[index]
             if handle.submit(call):
-                return call.wait()
-            # The handle died between routing and submission; the restart
-            # path has (or will have) swapped in a replacement — re-route.
+                return
+
+    def _call(self, index: int, op: str, payload: Any = None) -> Any:
+        """One frame to worker ``index``; blocks for (and returns) the
+        reply, re-raising whatever the worker raised."""
+        call = _PendingCall(op, payload)
+        self._submit(index, call)
+        return call.wait()
 
     def _call_handle(self, handle: _WorkerHandle, op: str,
                      payload: Any = None) -> Any:
@@ -573,18 +581,11 @@ class ShardHost:
         for index, request in pairs:
             try:
                 with self._lock:
-                    if self._closing:
-                        raise RuntimeError("shard host is closed")
                     known = request.fingerprint in self._settings
                 if not known:
                     raise UnknownSettingError(request.fingerprint)
                 call = _PendingCall("request", request)
-                while True:
-                    with self._lock:
-                        handle = self._handles[
-                            self.worker_for(request.fingerprint)]
-                    if handle.submit(call):
-                        break
+                self._submit(self.worker_for(request.fingerprint), call)
                 calls.append(call)
                 submitted.append(time.perf_counter())
             except Exception as error:

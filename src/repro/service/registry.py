@@ -146,6 +146,11 @@ class SettingRegistry:
         if not isinstance(setting, DataExchangeSetting):
             raise TypeError(f"expected a DataExchangeSetting or "
                             f"CompiledSetting, got {type(setting).__name__}")
+        persist_to = self.store if persist else None
+        if persist and persist_to is None:
+            raise StoreError(
+                "register(persist=True) needs a corpus store attached "
+                "to the registry (pass store=... at construction)")
         fingerprint = setting.fingerprint()
         with self._lock:
             if (self.quota is not None
@@ -162,35 +167,16 @@ class SettingRegistry:
                 # shard, and overwriting it would discard whichever engine
                 # (and result cache) started serving first.
                 self._admit_shard(fingerprint, compiled, prewarmed=True)
-        if persist:
-            if self.store is None:
-                raise StoreError(
-                    "register(persist=True) needs a corpus store attached "
-                    "to the registry (pass store=... at construction)")
+        if persist_to is not None:
             # Persisting implies warming: the pickled plan state must come
             # from a compiled shard, and a persisted setting exists so the
             # next boot is plan-warm — so this compile counts under the
             # prewarm accounting, never as a compiled_miss.
             shard = self._obtain(fingerprint, prewarm=True)[0]
-            self.store.put_setting(shard.engine.compiled, prewarm=prewarm)
+            persist_to.put_setting(shard.engine.compiled, prewarm=prewarm)
         elif prewarm:
             self.prewarm(fingerprint)
         return fingerprint
-
-    def restore_from_store(self) -> List[str]:
-        """Register every setting persisted in the attached store, each
-        pre-seeded from its pickled compiled form (so the first request
-        after a restart is a ``compiled_hits`` — ``compiled_misses`` stays
-        at zero — and each restoration counts a ``prewarm_hits``).
-        Returns the restored fingerprints."""
-        if self.store is None:
-            return []
-        restored: List[str] = []
-        with obs_span("storage.restore"):
-            for item in self.store.settings():
-                self.register(item.compiled, prewarm=True)
-                restored.append(item.fingerprint)
-        return restored
 
     # ------------------------------------------------------------------ #
     # In-flight quota
@@ -336,10 +322,6 @@ class SettingRegistry:
         self._stats.hit("plan_cache", cache.hits)
         self._stats.miss("plan_cache", cache.misses)
         self._stats.evict("plan_cache", cache.evictions)
-
-    def engine(self, fingerprint: str) -> ExchangeEngine:
-        """Shortcut for ``registry.shard(fingerprint).engine``."""
-        return self.shard(fingerprint).engine
 
     def setting(self, fingerprint: str) -> DataExchangeSetting:
         with self._lock:

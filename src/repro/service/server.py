@@ -112,15 +112,13 @@ class ExchangeServer:
 
     #: Per-line buffer bound: big solve requests (large source trees)
     #: easily exceed asyncio's 64 KiB default.
-    DEFAULT_LINE_LIMIT = 32 * 1024 * 1024
+    LINE_LIMIT = 32 * 1024 * 1024
 
     def __init__(self, service: AsyncExchangeService,
-                 host: str = "127.0.0.1", port: int = 8421,
-                 line_limit: int = DEFAULT_LINE_LIMIT) -> None:
+                 host: str = "127.0.0.1", port: int = 8421) -> None:
         self.service = service
         self.host = host
         self.port = port
-        self.line_limit = line_limit
         self._server: Optional[asyncio.base_events.Server] = None
         self._shutdown = asyncio.Event()
         self._writers: set = set()
@@ -139,7 +137,7 @@ class ExchangeServer:
     async def start(self) -> None:
         self._server = await asyncio.start_server(self._serve_connection,
                                                   self.host, self.port,
-                                                  limit=self.line_limit)
+                                                  limit=self.LINE_LIMIT)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_until_shutdown(self, announce: bool = True) -> None:
@@ -220,7 +218,7 @@ class ExchangeServer:
                 await asyncio.gather(*in_flight, return_exceptions=True)
         except (ConnectionResetError, asyncio.IncompleteReadError,
                 ValueError):
-            # ValueError: a request line overran line_limit — the stream is
+            # ValueError: a request line overran LINE_LIMIT — the stream is
             # no longer parseable, so the connection must drop.
             pass
         finally:

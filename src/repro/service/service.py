@@ -190,6 +190,11 @@ class AsyncExchangeService:
         if self._host is None:
             return self.registry.register(setting, prewarm=prewarm,
                                           persist=persist)
+        if persist and self._host.store is None:
+            # Refuse before the local registry admits the setting.
+            raise StoreError(
+                "register(persist=True) needs the shard host built with an "
+                "on-disk store (pass store=...)")
         plain = setting.setting if isinstance(setting, CompiledSetting) \
             else setting
         fingerprint = self.registry.register(plain)

@@ -36,15 +36,11 @@ import sys
 from array import array
 from typing import Dict, List, Sequence, Tuple
 
-from ..xmlmodel.frozen import FrozenTree, compute_pre_post
+from ..xmlmodel.frozen import FrozenTree
 from ..xmlmodel.values import Null, Value
 from .errors import StoreError
 
-# ``compute_pre_post`` moved to ``repro.xmlmodel.frozen`` (the snapshot
-# caches its own interval plane now); re-exported here for callers that
-# knew it as part of the record format.
-__all__ = ["encode_document", "decode_document", "decode_intervals",
-           "compute_pre_post"]
+__all__ = ["encode_document", "decode_document", "decode_intervals"]
 
 _MAGIC = b"RPST"
 _VERSION = 1

@@ -308,9 +308,11 @@ class CorpusStore:
         return [row[0] for row in rows]
 
     def get_frozen(self, fingerprint: str) -> FrozenTree:
-        """The stored :class:`FrozenTree` for ``fingerprint`` (per-label
-        index warm, fingerprint cache seeded from the catalog key).
-        Raises :class:`UnknownDocumentError` for absent fingerprints."""
+        """The stored :class:`FrozenTree` for ``fingerprint``, decoded from
+        its record (per-label index and pre/post plane warm, fingerprint
+        cache seeded from the catalog key, node idents those of the tree
+        that was stored).  Raises :class:`UnknownDocumentError` for absent
+        fingerprints."""
         with obs_span("storage.get_tree", fingerprint=fingerprint[:12]):
             with self._lock:
                 row = self._document_row(fingerprint)
@@ -327,8 +329,10 @@ class CorpusStore:
 
     def load_tree(self, fingerprint: str) -> XMLTree:
         """The stored document thawed back to a mutable-API
-        :class:`XMLTree` (fingerprint cache pre-seeded — addressing and
-        result-cache keys never re-hash the document)."""
+        :class:`XMLTree` with the stored node idents, whose memoised
+        snapshot is the decoded record (:meth:`FrozenTree.thaw`) —
+        addressing, result-cache keys and the pre-solution never re-freeze
+        or re-hash the document."""
         return self.get_frozen(fingerprint).thaw()
 
     def intervals(self, fingerprint: str) -> Tuple[Tuple[int, ...],
@@ -381,8 +385,7 @@ class CorpusStore:
 
     def settings(self) -> List[StoredSetting]:
         """Every persisted setting, unpickled plan-warm — the boot-restore
-        input for ``AsyncExchangeService.restore_settings`` and
-        ``SettingRegistry.restore_from_store``."""
+        input for ``AsyncExchangeService.restore_settings``."""
         with obs_span("storage.load_settings"):
             with self._lock:
                 rows = self._conn.execute(

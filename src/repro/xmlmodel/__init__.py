@@ -1,6 +1,6 @@
 """XML document model: trees, attribute values and DTDs (paper, Section 2)."""
 
-from .dtd import DTD, nested_relational_factors, parse_dtd
+from .dtd import DTD, parse_dtd
 from .frozen import FrozenTree
 from .tree import XMLNode, XMLTree
 from .values import (Null, NullFactory, Value, fresh_null, is_constant,
@@ -10,5 +10,5 @@ __all__ = [
     "XMLTree", "XMLNode", "FrozenTree",
     "Null", "NullFactory", "Value", "fresh_null", "is_constant", "is_null",
     "value_key",
-    "DTD", "parse_dtd", "nested_relational_factors",
+    "DTD", "parse_dtd",
 ]

@@ -24,8 +24,7 @@ The module implements:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
-                    Set)
+from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 from ..regexlang.ast import (Concat, Empty, Epsilon, Regex, Star, Symbol, Union,
                              concat, empty, epsilon, star, sym, union)
@@ -36,10 +35,7 @@ from ..regexlang.univocal import (RegexAnalysis, analyse, is_simple_regex,
                                   nested_relational_factors)
 from .tree import XMLTree
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from .frozen import FrozenTree
-
-__all__ = ["DTD", "parse_dtd", "nested_relational_factors"]
+__all__ = ["DTD", "parse_dtd"]
 
 
 @dataclass
@@ -149,52 +145,16 @@ class DTD:
     def conformance_violations(self, tree: XMLTree,
                                ordered: Optional[bool] = None) -> List[str]:
         """Return a list of human-readable violations of ``T ⊨ D`` (ordered)
-        or ``T |≈ D`` (unordered).  Empty list means the tree conforms."""
-        if ordered is None:
-            ordered = tree.ordered
-        problems: List[str] = []
-        if tree.label(tree.root) != self.root:
-            problems.append(
-                f"root is {tree.label(tree.root)!r}, expected {self.root!r}")
-        for node in tree.nodes():
-            label = tree.label(node)
-            if label not in self.rules:
-                problems.append(f"node {node}: unknown element type {label!r}")
-                continue
-            expected_attrs = self.attributes_of(label)
-            actual_attrs = set(tree.attributes(node))
-            if expected_attrs != actual_attrs:
-                problems.append(
-                    f"node {node} ({label}): attributes {sorted(actual_attrs)} "
-                    f"do not match R({label}) = {sorted(expected_attrs)}")
-            child_labels = tree.children_labels(node)
-            cache = self._rule_cache(label)
-            if ordered:
-                if not cache.nfa.accepts(child_labels):
-                    problems.append(
-                        f"node {node} ({label}): children {child_labels} "
-                        f"not in L({self.content_model(label)})")
-            else:
-                if not cache.analysis.semilinear.contains(parikh_vector(child_labels)):
-                    problems.append(
-                        f"node {node} ({label}): children {child_labels} "
-                        f"not in π({self.content_model(label)})")
-        return problems
+        or ``T |≈ D`` (unordered).  Empty list means the tree conforms.
 
-    def conformance_violations_frozen(self, frozen: "FrozenTree",
-                                      ordered: Optional[bool] = None) -> List[str]:
-        """:meth:`conformance_violations` driven by a frozen snapshot.
-
-        Same checks and message shapes (node ids are the source-tree
-        idents), but the walk is columnar: nodes are visited label by
-        label via ``nodes_by_label``, so every element type pays exactly
-        one rule-cache lookup per call instead of one per node, and
-        attribute presence comes from the per-attribute tables instead of
-        per-node dict reconstruction.  Message *order* groups by label
-        rather than by node id.  This is the chase's final conformance
-        sweep: the repaired tree is frozen once and the snapshot rides on
-        into query evaluation.
+        The walk is columnar, over the tree's memoised
+        :meth:`~repro.xmlmodel.tree.XMLTree.freeze` snapshot: nodes are
+        visited label by label via ``nodes_by_label``, so every element
+        type pays one rule-cache lookup per call instead of one per node,
+        and attribute presence comes from the per-attribute tables.
+        Messages name the tree's node idents and are grouped by label.
         """
+        frozen = tree.freeze()
         if ordered is None:
             ordered = frozen.ordered
         problems: List[str] = []

@@ -15,19 +15,22 @@ A :class:`FrozenTree` is a read-only snapshot of an
 * attribute values live in per-attribute tables ``{node: value}`` keyed by
   the interned attribute id — one dict lookup per attribute test;
 * ``post_order`` is a precomputed bottom-up order (every node after all
-  of its descendants), which the fingerprint fold iterates;
+  of its descendants), which the Merkle digest fold iterates;
 * :meth:`pre_post` derives (and caches) the **pre/post interval plane** of
   the XPath-accelerator encoding — the single source of truth shared by
   the storage record encoder (:mod:`repro.storage.encoding`) and the plan
   evaluator, which reads a root ``//`` chain off it in pre order with the
   companion :meth:`depths` column;
-* :meth:`fingerprint` is computed **iteratively** and cached, and equals
-  ``XMLTree.fingerprint()`` of the snapshotted tree — frozen and mutable
-  views of the same document share cache identity.
+* :meth:`digest` is the document's one Merkle fold, computed
+  **iteratively**; :meth:`fingerprint` hashes it with the ordered flag and
+  caches the result.  ``XMLTree.fingerprint()`` and ``XMLTree.equals()``
+  read it off the tree's memoised snapshot, so frozen and mutable views of
+  a document share cache identity by construction.
 
 Freezing pays one O(n) pass; everything afterwards is allocation-free
-reads.  The chase output is frozen once per request and evaluated many
-times (once per plan node), which is where the layout earns its keep.
+reads.  A tree memoises its snapshot (:meth:`XMLTree.freeze`), so the
+pre-solution, the chase's conformance check and query evaluation all
+share one; :meth:`thaw` hands a decoded snapshot to the tree it rebuilds.
 """
 
 from __future__ import annotations
@@ -41,6 +44,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .tree import XMLTree
 
 __all__ = ["FrozenTree", "compute_pre_post"]
+
+
+def _node_digest(label: str, attrs: tuple, child_digests: List[bytes],
+                 respect_order: bool) -> bytes:
+    """Merkle digest of one node: shallow payload plus child digests.
+
+    ``attrs`` is the sorted tuple of ``(name, value_key(value))`` pairs.
+    The payload rendered here is *shallow* (strings and flat tuples only)
+    and child digests are fixed-length, so the scheme is unambiguous and —
+    unlike rendering one nested structural key for the whole tree — never
+    recurses, whatever the document depth.  Unordered trees sort the child
+    digests, which canonicalises exactly up to sibling permutation.
+    """
+    hasher = hashlib.sha256()
+    hasher.update(repr((label, attrs)).encode("utf-8"))
+    hasher.update(b"|")
+    if not respect_order:
+        child_digests = sorted(child_digests)
+    for digest in child_digests:
+        hasher.update(digest)
+    return hasher.digest()
 
 
 def compute_pre_post(child_start: Sequence[int], child_end: Sequence[int],
@@ -76,9 +100,9 @@ def compute_pre_post(child_start: Sequence[int], child_end: Sequence[int],
 class FrozenTree:
     """An immutable array-backed snapshot of an XML tree.
 
-    Build one with :meth:`XMLTree.freeze` (or :meth:`from_tree`).  All
-    fields are read-only by convention; nothing in the pipeline mutates a
-    frozen tree, and the fingerprint cache relies on that.
+    Build one with :meth:`XMLTree.freeze`, which memoises it on the tree.
+    All fields are read-only by convention; nothing in the pipeline
+    mutates a frozen tree, and the fingerprint cache relies on that.
     """
 
     __slots__ = (
@@ -166,7 +190,8 @@ class FrozenTree:
 
     @classmethod
     def from_tree(cls, tree: "XMLTree") -> "FrozenTree":
-        """Snapshot ``tree`` (one breadth-first pass, O(n)).
+        """Snapshot ``tree`` (one breadth-first pass, O(n)); called by
+        :meth:`XMLTree.freeze`, which memoises the result.
 
         Breadth-first renumbering makes every position arithmetic: a node's
         children are enqueued consecutively, so their span is
@@ -282,61 +307,74 @@ class FrozenTree:
     # ------------------------------------------------------------------ #
 
     def thaw(self) -> "XMLTree":
-        """Rebuild a mutable :class:`XMLTree` equal to the snapshotted
-        document (fresh node idents, identical structure, labels,
-        attributes and fingerprint).
+        """Rebuild the mutable :class:`XMLTree` this snapshot was taken of:
+        the same node idents (``orig_ids``), structure, labels and
+        attributes, with this snapshot memoised as its :meth:`XMLTree.freeze`
+        — so its fingerprint, conformance check and plans never re-freeze
+        or re-hash it.
 
         This is the load path of the persistent corpus store: the chase
         consumes ``XMLTree`` sources, so a fingerprint-addressed request
-        thaws the stored snapshot once and caches the result.  When this
-        snapshot's fingerprint is already known it is pre-seeded into the
-        thawed tree's cache — addressing a stored document never re-hashes
-        it.  BFS positions map onto idents in index order: every parent
-        precedes its children and sibling spans are contiguous, so one
-        forward pass re-creates the exact sibling order.
+        thaws the decoded record once and caches the result.  One pass over
+        the columns: a node's children are the contiguous slice
+        ``orig_ids[child_start:child_end]`` of its BFS position.
         """
-        from .tree import XMLTree
-        tree = XMLTree(self.label(0), ordered=self.ordered)
-        idents: List[int] = [tree.root]
-        for pos in range(1, self.n):
-            idents.append(tree.add_child(idents[self.parents[pos]],
-                                         self.label(pos)))
+        from .tree import XMLNode, XMLTree
+        ids = self.orig_ids
+        parents = self.parents
+        starts, ends = self.child_start, self.child_end
+        names, labels = self.label_names, self.labels
+        nodes: Dict[int, XMLNode] = {}
+        for pos in range(self.n):
+            parent = parents[pos]
+            nodes[ids[pos]] = XMLNode(
+                ids[pos], names[labels[pos]],
+                children=ids[starts[pos]:ends[pos]],
+                parent=None if parent < 0 else ids[parent])
         for aid, table in enumerate(self.attr_tables):
             name = self.attr_names[aid]
             for pos, value in table.items():
-                tree.set_attribute(idents[pos], name, value)
-        if self._fingerprint is not None:
-            tree._fp_cache[self.ordered] = self._fingerprint
+                nodes[ids[pos]]._attributes[name] = value
+        tree = XMLTree(names[labels[0]], ordered=self.ordered)
+        tree._nodes = nodes
+        tree._next_id = max(ids) + 1
+        tree.root = ids[0]
+        tree._frozen = self
         return tree
 
     # ------------------------------------------------------------------ #
-    # Fingerprint
+    # Merkle digest and fingerprint
     # ------------------------------------------------------------------ #
 
+    def digest(self, respect_order: bool) -> bytes:
+        """Merkle digest of the whole document, computed iteratively from
+        the frozen arrays — node digests in ``post_order``, children
+        first.  Two snapshots have the same digest iff their documents are
+        isomorphic (respecting sibling order when asked) with identical
+        labels and attribute values; values are keyed type-aware via
+        :func:`~repro.xmlmodel.values.value_key`, nulls by identity."""
+        attrs_of: Dict[int, List[Tuple[str, tuple]]] = {}
+        for aid, table in enumerate(self.attr_tables):
+            name = self.attr_names[aid]
+            for pos, value in table.items():
+                attrs_of.setdefault(pos, []).append((name, value_key(value)))
+        digests: List[bytes] = [b""] * self.n
+        for pos in self.post_order:  # children before parents
+            digests[pos] = _node_digest(
+                self.label(pos), tuple(sorted(attrs_of.get(pos, ()))),
+                [digests[c] for c in self.children(pos)], respect_order)
+        return digests[0]
+
     def fingerprint(self) -> str:
-        """Identical to the source :meth:`XMLTree.fingerprint` (hex SHA-256
-        of the root's Merkle subtree digest plus the ordered flag), computed
-        iteratively from the frozen arrays — node digests in ``post_order``,
-        children first, over the same canonical attrs key
-        :func:`~repro.xmlmodel.tree._attrs_key` produces for mutable trees —
-        and cached: a frozen tree is immutable, so the cache never
-        invalidates.  Frozen and mutable views of the same document share
-        cache identity."""
+        """The document's content fingerprint: hex SHA-256 of the ordered
+        flag plus :meth:`digest` under that flag.  Cached — a frozen tree is
+        immutable, so the cache never invalidates; the store seeds it from
+        the catalog key.  ``XMLTree.fingerprint()`` reads it off the tree's
+        memoised snapshot."""
         if self._fingerprint is None:
-            from .tree import _node_digest
-            attrs_of: Dict[int, List[Tuple[str, tuple]]] = {}
-            for aid, table in enumerate(self.attr_tables):
-                name = self.attr_names[aid]
-                for pos, value in table.items():
-                    attrs_of.setdefault(pos, []).append((name, value_key(value)))
-            digests: List[bytes] = [b""] * self.n
-            for pos in self.post_order:  # children before parents
-                digests[pos] = _node_digest(
-                    self.label(pos), tuple(sorted(attrs_of.get(pos, ()))),
-                    [digests[c] for c in self.children(pos)], self.ordered)
             hasher = hashlib.sha256()
             hasher.update(b"ordered" if self.ordered else b"unordered")
-            hasher.update(digests[0])
+            hasher.update(self.digest(self.ordered))
             self._fingerprint = hasher.hexdigest()
         return self._fingerprint
 

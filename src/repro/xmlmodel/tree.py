@@ -21,58 +21,30 @@ Two representation choices matter for the hot path:
 * child tuples are returned *by reference* from :meth:`XMLTree.children` —
   the read path never copies; all structural mutation goes through the
   tree's mutation methods, which rebuild the (small) sibling tuple;
-* every traversal (:meth:`structural_key`, :meth:`to_text`, :meth:`to_xml`,
-  subtree copying) is iterative, so arbitrarily deep documents never hit
-  the interpreter recursion limit.
+* every traversal (:meth:`to_text`, :meth:`to_xml`, subtree copying) is
+  iterative, so arbitrarily deep documents never hit the interpreter
+  recursion limit.
 
 :meth:`XMLTree.freeze` snapshots the tree into an immutable
 :class:`~repro.xmlmodel.frozen.FrozenTree` — label-interned int arrays with
-per-label indexes — which is what the compiled query-plan evaluator
-(:mod:`repro.patterns.plan`) consumes.
+per-label indexes — and memoises it until the next mutation.  That one
+snapshot is the tree's read view for every whole-tree read: the compiled
+query-plan evaluator (:mod:`repro.patterns.plan`), the fingerprint,
+:meth:`XMLTree.equals` and DTD conformance all run on it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from types import MappingProxyType
 from typing import (TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from .values import Value, is_constant, is_null, value_key
+from .values import Value, is_constant, is_null
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (frozen imports us)
     from .frozen import FrozenTree
 
 __all__ = ["XMLNode", "XMLTree"]
-
-
-def _attrs_key(attributes: Dict[str, Value]) -> tuple:
-    """The canonical ``(name, value_key(value))`` tuple of an attribute map
-    — the single definition both structural keys and Merkle digests hash,
-    for mutable and frozen trees alike."""
-    return tuple(sorted((name, value_key(value))
-                        for name, value in attributes.items()))
-
-
-def _node_digest(label: str, attrs: tuple, child_digests: List[bytes],
-                 respect_order: bool) -> bytes:
-    """Merkle digest of one node: shallow payload plus child digests.
-
-    ``attrs`` is the sorted tuple of ``(name, value_key(value))`` pairs.
-    The payload rendered here is *shallow* (strings and flat tuples only)
-    and child digests are fixed-length, so the scheme is unambiguous and —
-    unlike rendering one nested structural key for the whole tree — never
-    recurses, whatever the document depth.  Unordered trees sort the child
-    digests, which canonicalises exactly up to sibling permutation.
-    """
-    hasher = hashlib.sha256()
-    hasher.update(repr((label, attrs)).encode("utf-8"))
-    hasher.update(b"|")
-    if not respect_order:
-        child_digests = sorted(child_digests)
-    for digest in child_digests:
-        hasher.update(digest)
-    return hasher.digest()
 
 
 class XMLNode:
@@ -88,8 +60,8 @@ class XMLNode:
         Read-only mapping attribute-name -> value (``ρ_@a(v)``).  Attribute
         names are stored *without* the leading ``@``.  Mutation goes
         through the owning tree (:meth:`XMLTree.set_attribute`,
-        :meth:`XMLTree.clear_attributes`), which keeps the tree's
-        fingerprint cache honest — the view raises on write.
+        :meth:`XMLTree.clear_attributes`), which drops the tree's
+        memoised snapshot — the view raises on write.
     children:
         Child node ids, in sibling order (meaningful only if the tree is
         ordered).  Stored as a tuple: reads share it, mutation methods on
@@ -128,27 +100,36 @@ class XMLTree:
     trees of Section 5.2; the ``ordered`` flag records which reading is
     intended.  Structural mutation is confined to a small set of methods used
     by the chase (:mod:`repro.exchange.chase`); mutating the node objects
-    directly bypasses the fingerprint cache and is not supported.
+    directly bypasses the memoised snapshot and is not supported.
     """
 
     def __init__(self, root_label: str, ordered: bool = True) -> None:
         self.ordered = ordered
         self._nodes: Dict[int, XMLNode] = {}
         self._next_id = 0
-        #: Memoised fingerprints keyed by the ordered flag; cleared by every
-        #: structural mutation (all of which funnel through the methods
-        #: below), so repeated cache-key computations on a settled tree are
-        #: free.
-        self._fp_cache: Dict[bool, str] = {}
+        #: The memoised :meth:`freeze` snapshot; dropped by every structural
+        #: mutation (all of which funnel through the methods below).
+        self._frozen: Optional["FrozenTree"] = None
         self.root = self._new_node(root_label, parent=None)
+
+    def __getstate__(self) -> dict:
+        # The snapshot is a cache: pickling it would ship every tree twice.
+        state = self.__dict__.copy()
+        del state["_frozen"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        # Trees pickled before the snapshot memo carry a fingerprint cache.
+        state.pop("_fp_cache", None)
+        self.__dict__.update(state)
+        self._frozen = None
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
 
     def _invalidate(self) -> None:
-        if self._fp_cache:
-            self._fp_cache.clear()
+        self._frozen = None
 
     def _new_node(self, label: str, parent: Optional[int]) -> int:
         ident = self._next_id
@@ -421,7 +402,7 @@ class XMLTree:
                 parent=node.parent,
             )
         clone.root = self.root
-        clone._fp_cache = dict(self._fp_cache)
+        clone._frozen = self._frozen  # same idents, so the same snapshot
         return clone
 
     def as_ordered(self) -> "XMLTree":
@@ -430,106 +411,44 @@ class XMLTree:
         clone.ordered = True
         return clone
 
-    def _fold_bottom_up(self, ident: int, combine):
-        """Iterative bottom-up fold over the subtree rooted at ``ident``:
-        ``combine(node, child_results)`` runs once per node, children
-        first.  The single traversal behind :meth:`structural_key` and
-        :meth:`subtree_digest` — depth is bounded by memory, not the
-        interpreter recursion limit."""
-        results: Dict[int, object] = {}
-        stack: List[Tuple[int, bool]] = [(ident, False)]
-        while stack:
-            node_id, expanded = stack.pop()
-            node = self._nodes[node_id]
-            if not expanded:
-                stack.append((node_id, True))
-                stack.extend((child, False) for child in node.children)
-                continue
-            child_results = [results.pop(child) for child in node.children]
-            results[node_id] = combine(node, child_results)
-        return results[ident]
+    def freeze(self) -> "FrozenTree":
+        """The tree's immutable :class:`~repro.xmlmodel.frozen.FrozenTree`
+        snapshot (label-interned arrays, per-label indexes, cached
+        fingerprint) — the one read view behind :meth:`fingerprint`,
+        :meth:`equals`, DTD conformance and the compiled plan evaluator.
 
-    def structural_key(self, ident: Optional[int] = None,
-                       respect_order: Optional[bool] = None) -> tuple:
-        """A canonical, hashable key of the subtree rooted at ``ident``.
-
-        Two subtrees have the same key iff they are isomorphic (respecting
-        sibling order for ordered trees, ignoring it otherwise) with identical
-        labels and attribute values.  Values are keyed type-aware via
-        :func:`~repro.xmlmodel.values.value_key` (nulls by identity), so
-        distinct values can never alias.
-        """
-        if ident is None:
-            ident = self.root
-        if respect_order is None:
-            respect_order = self.ordered
-
-        def combine(node: XMLNode, child_keys: list) -> tuple:
-            if not respect_order:
-                child_keys.sort()
-            return (node.label, _attrs_key(node._attributes),
-                    tuple(child_keys))
-
-        return self._fold_bottom_up(ident, combine)
-
-    def subtree_digest(self, ident: Optional[int] = None,
-                       respect_order: Optional[bool] = None) -> bytes:
-        """Merkle digest of the subtree rooted at ``ident`` (iterative).
-
-        Two subtrees have the same digest iff they are isomorphic
-        (respecting sibling order when asked) with identical labels and
-        attribute values — the hashed analogue of :meth:`structural_key`,
-        usable at any depth because no nested key is ever rendered whole.
-        """
-        if ident is None:
-            ident = self.root
-        if respect_order is None:
-            respect_order = self.ordered
-        return self._fold_bottom_up(
-            ident,
-            lambda node, child_digests: _node_digest(
-                node.label, _attrs_key(node._attributes), child_digests,
-                respect_order))
+        Memoised: repeated calls on a settled tree return the same
+        snapshot; every mutation drops it, and so does a change of the
+        ``ordered`` flag.  Later mutations of this tree do not affect a
+        snapshot already handed out."""
+        frozen = self._frozen
+        if frozen is None or frozen.ordered != self.ordered:
+            from .frozen import FrozenTree
+            frozen = self._frozen = FrozenTree.from_tree(self)
+        return frozen
 
     def fingerprint(self) -> str:
-        """A content fingerprint of the tree: the hex SHA-256 of the root's
-        Merkle :meth:`subtree_digest` plus the ordered flag (labels,
-        attribute values and — for ordered trees — sibling order).  Two
-        trees have the same fingerprint iff they are structurally equal, so
-        the digest is a sound cache key for per-tree results (the engine's
-        result cache keys on it).  Nulls are fingerprinted by identity
-        (``⊥n``), type-aware via
-        :func:`~repro.xmlmodel.values.value_key`.  The digest is memoised
-        per ordered-flag and invalidated by every structural mutation, so
-        repeated cache-key computations on a settled tree cost a dict
-        lookup."""
-        cached = self._fp_cache.get(self.ordered)
-        if cached is None:
-            hasher = hashlib.sha256()
-            hasher.update(b"ordered" if self.ordered else b"unordered")
-            hasher.update(self.subtree_digest())
-            cached = hasher.hexdigest()
-            self._fp_cache[self.ordered] = cached
-        return cached
-
-    def freeze(self) -> "FrozenTree":
-        """Snapshot the tree into an immutable
-        :class:`~repro.xmlmodel.frozen.FrozenTree` (label-interned arrays,
-        per-label indexes, iterative cached fingerprint) — the input format
-        of the compiled plan evaluator.  Later mutations of this tree do not
-        affect the snapshot."""
-        from .frozen import FrozenTree
-        return FrozenTree.from_tree(self)
+        """A content fingerprint of the tree: the hex SHA-256 of its Merkle
+        digest plus the ordered flag (labels, attribute values and — for
+        ordered trees — sibling order).  Two trees have the same
+        fingerprint iff they are structurally equal, so the digest is a
+        sound cache key for per-tree results (the engine's result cache
+        keys on it).  Nulls are fingerprinted by identity (``⊥n``),
+        type-aware via :func:`~repro.xmlmodel.values.value_key`.  Read
+        off the memoised :meth:`freeze` snapshot, so repeated cache-key
+        computations on a settled tree are free."""
+        return self.freeze().fingerprint()
 
     def equals(self, other: "XMLTree", respect_order: Optional[bool] = None) -> bool:
-        """Structural equality of two trees (see :meth:`structural_key`).
-
-        Compared via :meth:`subtree_digest`, so arbitrarily deep documents
-        compare without recursing through nested keys."""
+        """Structural equality of two trees: isomorphic (respecting sibling
+        order when asked; by default only when both trees are ordered) with
+        identical labels and attribute values.  Compares the Merkle digests
+        of the two snapshots, so arbitrarily deep documents compare without
+        recursion."""
         if respect_order is None:
             respect_order = self.ordered and other.ordered
-        return (self.subtree_digest(respect_order=respect_order)
-                == other.subtree_digest(respect_order=respect_order))
+        return (self.freeze().digest(respect_order)
+                == other.freeze().digest(respect_order))
 
     def to_text(self, ident: Optional[int] = None, indent: int = 0) -> str:
         """Human-readable indented rendering of the (sub)tree (iterative)."""

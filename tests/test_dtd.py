@@ -3,8 +3,7 @@
 import pytest
 
 from repro.xmlmodel import DTD, XMLTree, parse_dtd
-from repro.xmlmodel.dtd import nested_relational_factors
-from repro.regexlang import parse_regex
+from repro.regexlang import nested_relational_factors, parse_regex
 from repro.workloads import library
 
 

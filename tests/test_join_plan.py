@@ -23,6 +23,7 @@ import pytest
 from repro import ExchangeEngine, XMLTree
 from repro.engine.stats import CacheStats
 from repro.exchange import canonical_solution
+from repro.exchange.chase import ChaseResult
 from repro.generators import SCENARIO_PROFILES, generate_scenario
 from repro.patterns import (assignment_key, compile_pattern, compile_query,
                             descendant, match_anywhere, node, pattern_query,
@@ -317,33 +318,37 @@ class TestPrePostPlane:
 
 
 class TestFrozenConformance:
-    def test_matches_tree_walk_on_conforming_and_violating_trees(self):
+    def test_reports_each_violation_of_a_broken_solution(self):
         dtd = library.target_dtd()
         solved = canonical_solution(library.library_setting(),
                                     library.figure_1_source())
         assert solved.success
         good = solved.tree
-        assert dtd.conformance_violations_frozen(good.freeze(),
-                                                 ordered=False) == []
         assert dtd.conformance_violations(good, ordered=False) == []
-        # Break it two ways: an alien attribute and an alien child.
+        # Break it two ways: an alien attribute and an alien child.  The
+        # columnar walk reports exactly what a node-by-node walk reports
+        # (messages grouped by label, node idents of the tree).
         bad = good.copy()
         some_node = next(iter(bad.nodes()))
         bad.set_attribute(some_node, "alien", "x")
-        bad.add_child(bad.root, "martian")
-        tree_walk = dtd.conformance_violations(bad, ordered=False)
-        frozen_walk = dtd.conformance_violations_frozen(bad.freeze(),
-                                                        ordered=False)
-        # Same violations (message order groups by label in the frozen walk).
-        assert sorted(tree_walk) == sorted(frozen_walk)
-        assert frozen_walk  # actually caught something
+        martian = bad.add_child(bad.root, "martian")
+        assert sorted(dtd.conformance_violations(bad, ordered=False)) == [
+            f"node {bad.root} (bib): attributes ['alien'] do not match "
+            "R(bib) = []",
+            f"node {bad.root} (bib): children ['writer', 'writer', "
+            "'writer', 'martian'] not in π(writer*)",
+            f"node {martian}: unknown element type 'martian'",
+        ]
 
-    def test_chase_result_carries_frozen_and_pickle_drops_it(self):
+    def test_chase_result_frozen_is_the_memoised_snapshot(self):
         solved = canonical_solution(library.library_setting(),
                                     library.figure_1_source())
         assert solved.success
-        assert solved.frozen is not None
+        assert solved.frozen is solved.tree.freeze()
         assert solved.frozen.fingerprint() == solved.tree.fingerprint()
         clone = pickle.loads(pickle.dumps(solved))
-        assert clone.frozen is None  # a cache, not part of the identity
+        assert clone.tree._frozen is None  # a cache, not part of the identity
+        assert clone.frozen.fingerprint() == solved.tree.fingerprint()
         assert clone.tree.fingerprint() == solved.tree.fingerprint()
+        failed = ChaseResult(False, None, "no solution")
+        assert failed.frozen is None

@@ -20,7 +20,8 @@ from repro.service import (AsyncExchangeService, ExchangeRequest, ShardHost,
                            UnknownSettingError, certain_answers_request,
                            classify_request, consistency_request,
                            solve_request)
-from repro.service.host import FrameError, _decode_frame, _encode_frame
+from repro.service.host import (FrameError, _WorkerHandle, _decode_frame,
+                                _encode_frame)
 from repro.service.protocol import answers_to_wire, tree_to_wire
 from repro.workloads import library, nested_relational
 
@@ -304,6 +305,43 @@ class TestWorkerLifecycle:
         host.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
             host.execute(consistency_request(fingerprint))
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_host_closing_under_a_submission_fails_it(
+            self, library_setting, monkeypatch, grouped):
+        """A close racing a submission leaves a dead handle that is never
+        replaced; both submission paths must give up instead of re-reading
+        it forever."""
+        host = ShardHost(workers=1)
+        fingerprint = host.register(library_setting)
+        request = consistency_request(fingerprint)
+        submit = _WorkerHandle.submit
+
+        def close_first(handle, call):
+            monkeypatch.setattr(_WorkerHandle, "submit", submit)
+            host.close()
+            return submit(handle, call)
+
+        monkeypatch.setattr(_WorkerHandle, "submit", close_first)
+        outcome = []
+
+        def serve():
+            try:
+                if grouped:
+                    outcome.extend(host.execute_group(fingerprint,
+                                                      [(0, request)]))
+                else:
+                    host.execute(request)
+            except RuntimeError as error:
+                outcome.append(error)
+
+        worker = threading.Thread(target=serve, daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive(), "submission spun on a dead handle"
+        error = outcome[0].error if grouped else outcome[0]
+        assert isinstance(error, RuntimeError)
+        assert "closed" in str(error)
 
 
 class TestStatsAggregation:

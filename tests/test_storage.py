@@ -21,10 +21,11 @@ from repro.engine.compiled import compile_setting
 from repro.service import SettingRegistry, ShardHost
 from repro.storage import (CorpusStore, StoreError, StoreReadOnlyError,
                            UnknownDocumentError)
-from repro.storage.encoding import (compute_pre_post, decode_document,
-                                    decode_intervals, encode_document)
+from repro.storage.encoding import (decode_document, decode_intervals,
+                                    encode_document)
 from repro.workloads import library
 from repro.xmlmodel import XMLTree
+from repro.xmlmodel.frozen import compute_pre_post
 
 
 def _tree(size=4, seed=1):
@@ -401,6 +402,78 @@ class TestEngineStore:
                                          respect_order=False)
 
 
+class TestStoredReadView:
+    """A stored document is decoded once: the thawed tree keeps the stored
+    idents and memoises the decoded record as its snapshot."""
+
+    @pytest.fixture
+    def snapshots_built(self, monkeypatch):
+        from repro.xmlmodel.frozen import FrozenTree
+
+        built = []
+        from_tree = FrozenTree.from_tree.__func__
+
+        def counting(cls, tree):
+            built.append(tree)
+            return from_tree(cls, tree)
+
+        monkeypatch.setattr(FrozenTree, "from_tree", classmethod(counting))
+        return built
+
+    def test_load_tree_hands_over_the_decoded_record(self, monkeypatch,
+                                                    snapshots_built):
+        from repro.storage import store as store_module
+
+        decoded = []
+
+        def recording(record):
+            decoded.append(decode_document(record))
+            return decoded[-1]
+
+        monkeypatch.setattr(store_module, "decode_document", recording)
+        store = CorpusStore(None)
+        tree = _tree()
+        fingerprint = store.put_tree(tree)
+        del snapshots_built[:]
+        loaded = store.load_tree(fingerprint)
+        assert loaded.freeze() is decoded[0]
+        assert loaded.fingerprint() == fingerprint
+        assert list(loaded.nodes()) == list(tree.nodes())
+        assert snapshots_built == []
+
+    def test_conformance_on_a_thawed_document_names_stored_idents(self):
+        dtd = library.source_dtd()
+        tree = XMLTree.build(("db", [
+            ("book", {"title": "B1"}, [("author", {"name": "A"})]),
+            ("book", {"title": "B2"})]))
+        author = tree.children(tree.children(tree.root)[0])[0]
+        store = CorpusStore(None)
+        loaded = store.load_tree(store.put_tree(tree))
+        violations = dtd.conformance_violations(loaded)
+        assert violations == dtd.conformance_violations(tree)
+        assert violations == [
+            f"node {author} (author): attributes ['name'] do not match "
+            "R(author) = ['aff', 'name']"]
+
+    def test_snapshots_per_certain_answers_miss(self, library_setting,
+                                                snapshots_built):
+        """By fingerprint, the stored record serves the pre-solution and
+        only the canonical solution is frozen; inline, the source tree is
+        frozen too."""
+        compiled = compile_setting(library_setting)
+        query, order = library.query_writer_of("Book-0"), ["w"]
+        store = CorpusStore(None)
+        fingerprint = store.put_tree(_tree())
+        by_fp = ExchangeEngine(compiled)
+        by_fp.attach_store(store)
+        del snapshots_built[:]
+        by_fp.certain_answers(fingerprint, query, order)
+        assert len(snapshots_built) == 1
+        del snapshots_built[:]
+        ExchangeEngine(compiled).certain_answers(_tree(), query, order)
+        assert len(snapshots_built) == 2
+
+
 # --------------------------------------------------------------------- #
 # Registry / host persistence and plan-warm restore
 # --------------------------------------------------------------------- #
@@ -410,6 +483,35 @@ class TestRegistryPersistence:
         registry = SettingRegistry()
         with pytest.raises(StoreError, match="persist=True"):
             registry.register(library_setting, persist=True)
+        # Refused before admission: no setting, no registration-quota slot.
+        assert len(registry) == 0
+        assert library_setting.fingerprint() not in registry
+
+    @pytest.mark.parametrize("host", [False, True],
+                             ids=["in-process", "host"])
+    def test_service_refused_persist_admits_nothing(self, library_setting,
+                                                    host):
+        import asyncio
+
+        from repro.service import AsyncExchangeService, UnknownSettingError
+
+        fingerprint = library_setting.fingerprint()
+
+        async def scenario():
+            service = (AsyncExchangeService(executor="host", workers=1)
+                       if host else
+                       AsyncExchangeService(registry=SettingRegistry(),
+                                            executor="serial"))
+            async with service:
+                with pytest.raises(StoreError, match="persist=True"):
+                    service.register(library_setting, persist=True)
+                assert service.stats()["registry"][
+                    "settings_registered"] == 0
+                assert fingerprint not in service.registry
+                with pytest.raises(UnknownSettingError):
+                    await service.check_consistency(fingerprint)
+
+        asyncio.run(scenario())
 
     def test_persist_compiles_under_prewarm_accounting(
             self, tmp_path, library_setting):
@@ -424,8 +526,8 @@ class TestRegistryPersistence:
         engine = ExchangeEngine(stored.compiled)
         assert engine.check_consistency().payload is True
 
-    def test_restore_from_store_boots_plan_warm(self, tmp_path,
-                                                library_setting):
+    def test_restore_into_a_registry_boots_plan_warm(self, tmp_path,
+                                                     library_setting):
         path = tmp_path / "store"
         first = SettingRegistry(store=path)
         fingerprint = first.register(library_setting, persist=True,
@@ -434,9 +536,12 @@ class TestRegistryPersistence:
         first.close()
         first.store.close()
 
-        # "Restart": a brand-new registry over the same directory.
-        registry = SettingRegistry(store=path)
-        assert registry.restore_from_store() == [fingerprint]
+        # "Restart": a brand-new service over the same directory.
+        from repro.service import AsyncExchangeService
+        service = AsyncExchangeService(registry=SettingRegistry(store=path),
+                                       executor="serial")
+        registry = service.registry
+        assert service.restore_settings() == [fingerprint]
         stats = registry.stats()
         assert stats["compiled_misses"] == 0
         assert stats["prewarm_hits"] >= 1
@@ -450,6 +555,7 @@ class TestRegistryPersistence:
         assert stats["compiled_hits"] >= 1
         assert stats["store_hits"] >= 1
         assert stats["store_bytes"] > 0
+        service.close()
 
     def test_registry_stats_overlay_store_counters(self, tmp_path,
                                                    library_setting):
@@ -687,3 +793,32 @@ class TestOldStore:
                 return result.payload
 
         assert asyncio.run(restart()) == {("Author-1",), ("Author-2",)}
+
+    def test_old_pickled_trees_keep_their_fingerprints(self, tmp_path):
+        """``tests/fixtures/old_store_skeletons`` persisted a setting whose
+        nested-relational skeleton trees were pickled with the old
+        fingerprint cache and no snapshot attribute."""
+        import asyncio
+        import shutil
+        from pathlib import Path
+
+        from repro.service import AsyncExchangeService
+
+        path = tmp_path / "store"
+        shutil.copytree(
+            Path(__file__).parent / "fixtures" / "old_store_skeletons", path)
+
+        async def restart():
+            async with AsyncExchangeService(executor="serial",
+                                            store=path) as service:
+                restored = service.restore_settings()
+                consistency = await service.check_consistency(restored[0])
+                answers = await service.certain_answers(
+                    restored[0], _tree().fingerprint(),
+                    library.query_writer_of("Book-0"), ["w"])
+                return consistency.raw.witness_source, answers.payload
+
+        witness, payload = asyncio.run(restart())
+        assert witness.fingerprint() == (
+            "d57f570e1f9a60fd10e39437b34a987a58e40cd44ec5868a89dfc2dc9d4eb3d7")
+        assert payload == {("Author-1",), ("Author-2",)}

@@ -1,17 +1,21 @@
 """Tests for the XML tree model (Section 2)."""
 
+import pickle
+
 import pytest
 
+from repro.workloads import library
 from repro.xmlmodel import XMLTree
 from repro.xmlmodel.values import Null
+
+_AUTHOR = ("author", {"name": "A", "aff": "U"})
+_B1 = ("book", {"title": "B1"}, [_AUTHOR])
+_B2 = ("book", {"title": "B2"})
 
 
 @pytest.fixture
 def sample():
-    return XMLTree.build(("db", [
-        ("book", {"title": "B1"}, [("author", {"name": "A", "aff": "U"})]),
-        ("book", {"title": "B2"}),
-    ]))
+    return XMLTree.build(("db", [_B1, _B2]))
 
 
 def test_build_and_labels(sample):
@@ -116,7 +120,7 @@ def test_structural_equality_ignores_order_when_unordered():
     assert not ordered_left.equals(ordered_right)
 
 
-def test_structural_key_distinguishes_nulls():
+def test_equality_distinguishes_nulls():
     left = XMLTree.build(("r", {"a": Null(1)}))
     right = XMLTree.build(("r", {"a": Null(2)}))
     assert not left.equals(right)
@@ -161,10 +165,109 @@ def test_fingerprint_cache_invalidated_by_mutation(sample):
     assert sample.fingerprint() != changed
 
 
+#: Each tree mutation applied to ``sample`` (given the tree and its two
+#: book idents), with the spec of a tree built from scratch to the shape
+#: the mutation leaves.
+_MUTATIONS = {
+    "add_child": (
+        lambda t, b1, b2: t.add_child(t.root, "book", {"title": "B3"}),
+        ("db", [_B1, _B2, ("book", {"title": "B3"})])),
+    "set_attribute": (
+        lambda t, b1, b2: t.set_attribute(b2, "title", "B9"),
+        ("db", [_B1, ("book", {"title": "B9"})])),
+    "clear_attributes": (
+        lambda t, b1, b2: t.clear_attributes(b2),
+        ("db", [_B1, ("book",)])),
+    "remove_subtree": (
+        lambda t, b1, b2: t.remove_subtree(b1),
+        ("db", [_B2])),
+    "replace_subtree": (
+        lambda t, b1, b2: t.replace_subtree(
+            b2, XMLTree.build(("book", {"title": "B9"}))),
+        ("db", [_B1, ("book", {"title": "B9"})])),
+    "graft_subtree": (
+        lambda t, b1, b2: t.graft_subtree(b2, XMLTree.build(_AUTHOR)),
+        ("db", [_B1, ("book", {"title": "B2"}, [_AUTHOR])])),
+    "merge_children": (
+        lambda t, b1, b2: t.merge_children(t.root, [b1, b2]),
+        ("db", [("book", [_AUTHOR])])),
+    "reorder_children": (
+        lambda t, b1, b2: t.reorder_children(t.root, (b2, b1)),
+        ("db", [_B2, _B1])),
+}
+
+
+class TestReadView:
+    """``XMLTree.freeze()`` is memoised: one snapshot per settled tree,
+    dropped by every mutation, never pickled, handed over by ``thaw``."""
+
+    def test_freeze_is_memoised_and_shared_by_copies(self, sample):
+        frozen = sample.freeze()
+        assert sample.freeze() is frozen
+        assert sample.fingerprint() == frozen.fingerprint()
+        clone = sample.copy()
+        assert clone.freeze() is frozen  # same idents, same snapshot
+        clone.add_child(clone.root, "book")
+        assert clone.freeze() is not frozen
+        assert sample.freeze() is frozen
+
+    @pytest.mark.parametrize("name", sorted(_MUTATIONS))
+    def test_every_mutation_drops_the_snapshot(self, sample, name):
+        mutate, expected = _MUTATIONS[name]
+        before = sample.freeze()
+        b1, b2 = sample.children(sample.root)
+        mutate(sample, b1, b2)
+        after = sample.freeze()
+        assert after is not before
+        assert after.fingerprint() == XMLTree.build(expected).fingerprint()
+        assert sample.fingerprint() != before.fingerprint()
+
+    def test_ordered_flag_change_rebuilds_the_snapshot(self, sample):
+        ordered = sample.freeze()
+        assert ordered.ordered
+        sample.ordered = False  # as the chase does
+        unordered = sample.freeze()
+        assert not unordered.ordered
+        assert sample.fingerprint() != ordered.fingerprint()
+        assert sample.as_ordered().freeze().ordered
+        assert sample.as_ordered().fingerprint() == ordered.fingerprint()
+
+    def test_pickle_leaves_the_snapshot_out(self, sample):
+        before = pickle.dumps(sample)
+        fingerprint = sample.fingerprint()
+        assert pickle.dumps(sample) == before
+        clone = pickle.loads(before)
+        assert clone._frozen is None
+        assert clone.fingerprint() == fingerprint
+
+    def test_thaw_keeps_idents_and_hands_over_the_snapshot(self, sample):
+        # ``build`` numbers nodes in document order, snapshots in BFS
+        # order: the second book precedes the author here.
+        frozen = sample.freeze()
+        thawed = frozen.thaw()
+        assert thawed.freeze() is frozen
+        assert list(thawed.nodes()) == list(sample.nodes())
+        for node in sample.nodes():
+            assert thawed.label(node) == sample.label(node)
+            assert thawed.attributes(node) == sample.attributes(node)
+            assert thawed.children(node) == sample.children(node)
+            assert thawed.parent(node) == sample.parent(node)
+        fresh = thawed.add_child(thawed.root, "book", {"title": "B3"})
+        assert fresh not in set(sample.nodes())
+        assert thawed.freeze() is not frozen
+
+    def test_pinned_fingerprints(self):
+        assert library.figure_1_source().fingerprint() == (
+            "c852ea16a43d702697c18f7c3796beb3f3c982f05aa251a3fbcae17ac70d6144")
+        assert library.generate_source(
+            4, authors_per_book=2, seed=1).fingerprint() == (
+            "5b02d96c0e1a9c8e20b015bc0a7d90ea19b2c33f04c72b7271ce6266bfe2904c")
+
+
 class TestDeepTrees:
     """Regression: every traversal must be iterative — a depth-5000 chain
     used to blow ``sys.getrecursionlimit()`` in the recursive versions of
-    ``structural_key`` / ``to_xml`` / ``to_text`` / ``_copy_children``."""
+    the structural key / ``to_xml`` / ``to_text`` / ``_copy_children``."""
 
     DEPTH = 5000
 
@@ -176,11 +279,17 @@ class TestDeepTrees:
             node = tree.add_child(node, f"d{level % 7}", {"level": str(level)})
         return tree
 
-    def test_structural_key_and_fingerprint(self, chain):
+    def test_digest_fingerprint_and_equals(self, chain):
         assert chain.depth() == self.DEPTH
-        key = chain.structural_key()
-        assert key[0] == "d0"
+        assert len(chain.freeze().digest(respect_order=False)) == 32
         assert len(chain.fingerprint()) == 64
+        # A difference at the deepest node is seen through every level.
+        other = chain.copy()
+        deepest = list(other.nodes())[-1]
+        other.set_attribute(deepest, "level", "changed")
+        assert not chain.equals(other)
+        assert not chain.equals(other, respect_order=False)
+        assert chain.fingerprint() != other.fingerprint()
 
     def test_to_text_and_to_xml(self, chain):
         text = chain.to_text()
@@ -234,11 +343,12 @@ class TestTypeAwareValueIdentity:
     """Regression: dedup/fingerprint keys are type-aware — two distinct
     values with equal ``repr`` must never alias."""
 
-    def test_structural_key_distinguishes_repr_collisions(self):
+    def test_digest_distinguishes_repr_collisions(self):
         genuine = XMLTree.build(("r", {"a": Null(1)}))
         impostor = XMLTree.build(("r", {"a": _ReprImpostor()}))
         assert repr(Null(1)) == repr(_ReprImpostor())
-        assert genuine.structural_key() != impostor.structural_key()
+        assert not genuine.equals(impostor)
+        assert not genuine.equals(impostor, respect_order=False)
         assert genuine.fingerprint() != impostor.fingerprint()
 
     def test_dedup_distinguishes_repr_collisions(self):
