@@ -40,6 +40,9 @@ Two further traffic modes exercise the governed-serving guarantees:
   K-worker pass clears ``--scale-min`` (default 1.6x) the 1-worker
   throughput.  On a single-core machine the scaling gate prints a skip
   note and does not fail: there is no parallel hardware to measure.
+  Beside each pass's req/s it prints the supervisor's CPU per request
+  (this process's ``time.process_time()`` over the timed repeats;
+  ``supervisor_cpu_ms`` by worker count in the JSON report).
 
 Usage::
 
@@ -388,25 +391,30 @@ def run_workers_mode(args):
             for scenario in scenarios:
                 service.register(scenario.setting, prewarm=True)
             await service.batch(requests)       # warm plans and pipes
+            # The supervisor runs in this process: its CPU is ours.
+            cpu_begun = time.process_time()
             begun = time.perf_counter()
             for _ in range(args.worker_repeats):
                 slots = await service.batch(requests)
             elapsed = time.perf_counter() - begun
+            cpu = time.process_time() - cpu_begun
             stats = service.stats()
         view = [(slot.ok, slot.result.payload if slot.result else None)
                 for slot in slots]
-        return view, elapsed, stats
+        return view, elapsed, cpu, stats
 
     failures = []
     results = {}
     for worker_count in (1, workers):
-        view, elapsed, stats = asyncio.run(host_pass(worker_count))
-        throughput = (len(requests) * args.worker_repeats
-                      / max(elapsed, 1e-9))
-        results[worker_count] = (view, throughput, stats)
+        view, elapsed, cpu, stats = asyncio.run(host_pass(worker_count))
+        served = len(requests) * args.worker_repeats
+        throughput = served / max(elapsed, 1e-9)
+        supervisor_cpu_ms = cpu * 1e3 / served
+        results[worker_count] = (view, throughput, stats, supervisor_cpu_ms)
         restarts = stats["host"]["worker_restarts"]
         print(f"host x{worker_count:<2d} workers   : "
-              f"{throughput:8.1f} req/s ({elapsed * 1e3:.1f} ms for "
+              f"{throughput:8.1f} req/s, supervisor CPU "
+              f"{supervisor_cpu_ms:.3f} ms/req ({elapsed * 1e3:.1f} ms for "
               f"{args.worker_repeats}x{len(requests)} requests, "
               f"{restarts} restarts)")
         # Parity oracle: the multi-process serving layer may never change
@@ -442,6 +450,7 @@ def run_workers_mode(args):
             "requests": len(requests), "settings": len(scenarios),
             "assignment": {str(k): v for k, v in sorted(assignment.items())},
             "throughput_rps": {str(k): results[k][1] for k in results},
+            "supervisor_cpu_ms": {str(k): results[k][3] for k in results},
             "scaling_x": scaling, "scale_min": args.scale_min,
             "scale_gate": gate, "cores": cores}, failures
 

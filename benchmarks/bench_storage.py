@@ -119,7 +119,7 @@ def main(argv=None) -> int:
         # ------------------------------------------------------------- #
         def read_pass():
             with CorpusStore(store_path, read_only=True) as reader:
-                loaded = [reader.load_tree(fp) for fp in fingerprints]
+                loaded = [reader.get_frozen(fp).thaw() for fp in fingerprints]
             return loaded
 
         read_time, loaded = timed(read_pass)

@@ -30,11 +30,13 @@ eviction, counted as ``result_cache_evictions``); the serving layer
 (:mod:`repro.service`) sets this per shard, so each setting's tenants share a
 budget but can never evict another setting's entries.
 
-**Fingerprint-addressed requests.**  After :meth:`attach_store` the
-per-tree methods accept a document *fingerprint* (``str``) wherever they
-accept an inline :class:`XMLTree`: the engine resolves it through a small
-LRU of thawed trees and then the attached
-:class:`~repro.storage.CorpusStore`, raising the typed
+**Source documents are snapshots.**  The per-tree methods read a source
+document only through its :class:`~repro.xmlmodel.frozen.FrozenTree`, so
+they take a snapshot or an inline :class:`XMLTree` (frozen once, at
+:meth:`ExchangeEngine.resolve_tree`).  After :meth:`attach_store` they
+also take a document *fingerprint* (``str``), resolved through a small
+LRU of snapshots and then the attached :class:`~repro.storage.CorpusStore`
+(the decoded record, never thawed), raising the typed
 :class:`~repro.storage.UnknownDocumentError` for absent fingerprints.
 Resolutions are counted on the store's ``CacheStats`` (``store_hits`` /
 ``store_misses``; ``store_bytes`` moves only when record bytes are
@@ -58,6 +60,7 @@ from ..exchange.errors import NoSolutionError
 from ..exchange.setting import DataExchangeSetting
 from ..obs.trace import span as obs_span, timer as obs_timer
 from ..patterns.queries import Query
+from ..xmlmodel.frozen import FrozenTree
 from ..xmlmodel.tree import XMLTree
 from ..xmlmodel.values import NullFactory
 from .compiled import CompiledSetting, compile_setting
@@ -68,11 +71,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["EngineResult", "ExchangeEngine"]
 
-#: A per-tree operand: the document itself, or — with a store attached —
-#: its fingerprint.
-TreeRef = Union[XMLTree, str]
+#: A per-tree operand: the document (a tree or its snapshot), or — with a
+#: store attached — its fingerprint.
+TreeRef = Union[XMLTree, FrozenTree, str]
 
-#: Bound on the LRU of thawed stored trees an engine with a store keeps.
+#: Bound on the LRU of stored-document snapshots an engine with a store
+#: keeps.
 STORE_TREE_CACHE_MAXSIZE = 64
 
 #: Strategy names accepted by :meth:`ExchangeEngine.check_consistency`.
@@ -177,9 +181,9 @@ class ExchangeEngine:
         self._results: "OrderedDict[Tuple[str, str, Optional[Tuple[str, ...]]], CertainAnswers]" = OrderedDict()
         self._engine_stats = CacheStats()
         #: Attached corpus store (see :meth:`attach_store`) and the LRU of
-        #: thawed trees fronting it, keyed by fingerprint.
+        #: stored-document snapshots fronting it, keyed by fingerprint.
         self._store: Optional["CorpusStore"] = None
-        self._store_trees: "OrderedDict[str, XMLTree]" = OrderedDict()
+        self._store_trees: "OrderedDict[str, FrozenTree]" = OrderedDict()
         # Guards the result cache, its counters and the request counter
         # against concurrent requests (the service's thread executor serves
         # one shard from many threads); computation happens outside the
@@ -200,25 +204,27 @@ class ExchangeEngine:
         """Attach a persistent corpus store.
 
         Afterwards every per-tree method accepts a document fingerprint in
-        place of an inline tree; resolved trees are kept in an LRU of
+        place of an inline tree; resolved snapshots are kept in an LRU of
         :data:`STORE_TREE_CACHE_MAXSIZE` entries so repeated requests
-        against the same document thaw it once.  Returns the attached
-        store (handy for ``engine.attach_store(store).put_tree(tree)``)."""
+        against the same document decode its record once.  Returns the
+        attached store (handy for
+        ``engine.attach_store(store).put_tree(tree)``)."""
         with self._lock:
             self._store = store
             self._store_trees.clear()
         return store
 
-    def resolve_tree(self, source: TreeRef) -> XMLTree:
-        """An inline tree verbatim, or a fingerprint resolved through the
-        thawed-tree LRU and the attached store.
+    def resolve_tree(self, source: TreeRef) -> FrozenTree:
+        """The snapshot of an inline document (``source.freeze()``), or a
+        fingerprint resolved through the snapshot LRU and the attached
+        store's decoded record.
 
         Raises :class:`~repro.storage.StoreError` when a fingerprint is
         used with no store attached and
         :class:`~repro.storage.UnknownDocumentError` when the store has no
         such document (both typed, both wire-codable)."""
-        if isinstance(source, XMLTree):
-            return source
+        if not isinstance(source, str):
+            return source.freeze()
         store = self._store
         if store is None:
             from ..storage import StoreError
@@ -232,13 +238,13 @@ class ExchangeEngine:
         if cached is not None:
             store.stats.hit("store")
             return cached
-        tree = store.load_tree(source)
+        frozen = store.get_frozen(source)
         with self._lock:
-            self._store_trees[source] = tree
+            self._store_trees[source] = frozen
             self._store_trees.move_to_end(source)
             while len(self._store_trees) > STORE_TREE_CACHE_MAXSIZE:
                 self._store_trees.popitem(last=False)
-        return tree
+        return frozen
 
     @property
     def stats(self) -> Dict[str, int]:
@@ -317,10 +323,10 @@ class ExchangeEngine:
               nulls: Optional[NullFactory] = None) -> EngineResult:
         """Chase ``cps(T)`` into the canonical solution ``T*`` (Section 6.1).
 
-        ``source_tree`` is an inline tree or — with a store attached — a
-        document fingerprint.  ``ok`` is false — with the chase's failure
-        reason in ``detail`` — when the source tree has no solution
-        (Lemma 6.15 b)."""
+        ``source_tree`` is an inline tree or snapshot or — with a store
+        attached — a document fingerprint.  ``ok`` is false — with the
+        chase's failure reason in ``detail`` — when the source tree has no
+        solution (Lemma 6.15 b)."""
         with obs_timer("engine.solve") as clock:
             source_tree = self.resolve_tree(source_tree)
             outcome: ChaseResult = canonical_solution(
@@ -334,15 +340,15 @@ class ExchangeEngine:
                         nulls: Optional[NullFactory] = None) -> EngineResult:
         """``certain(Q, T)`` via the canonical solution (Theorem 6.2).
 
-        ``source_tree`` is an inline tree or — with a store attached — a
-        document fingerprint.  ``payload`` is the set of all-constant
-        answer tuples; ``ok`` is false when the source tree has no
-        solution.  Repeated requests for a fingerprint-identical ``(tree,
-        query, variable_order)`` triple are served from the result cache
-        (observable only through the ``result_cache_*`` counters —
-        payload, strategy and detail are identical to a fresh
-        computation), so inline and fingerprint-addressed forms of the
-        same document share cache entries.  Passing an explicit ``nulls``
+        ``source_tree`` is an inline tree or snapshot or — with a store
+        attached — a document fingerprint.  ``payload`` is the set of
+        all-constant answer tuples; ``ok`` is false when the source tree
+        has no solution.  Repeated requests for a fingerprint-identical
+        ``(tree, query, variable_order)`` triple are served from the result
+        cache (observable only through the ``result_cache_*`` counters —
+        payload, strategy and detail are identical to a fresh computation),
+        so inline and fingerprint-addressed forms of the same document
+        share cache entries.  Passing an explicit ``nulls``
         factory bypasses the cache: the caller is asking for the canonical
         solution to be built from *that* factory, which a cached outcome
         would silently ignore."""
@@ -362,7 +368,7 @@ class ExchangeEngine:
                 self._cache_store(key, outcome)
             return self._certain_result(outcome, clock)
 
-    def _result_key(self, source_tree: XMLTree, query: Query,
+    def _result_key(self, source_tree: FrozenTree, query: Query,
                     variable_order: Optional[Sequence[str]]
                     ) -> Optional[Tuple[str, str, Optional[Tuple[str, ...]]]]:
         if not self.result_cache_enabled:

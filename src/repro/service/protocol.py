@@ -10,9 +10,14 @@ definition of the wire format:
   ``target :- source`` pattern-text pairs — and rebuild to a setting with
   the **same fingerprint**, so client-side and server-side routing keys
   agree;
-* **trees** travel as nested ``[label, {attr: value}, [child, ...]]``
-  triples; constants are plain strings and nulls (which occur in solution
-  trees the server returns) are tagged ``{"null": n}``;
+* **trees** travel as a list of ``[label, {attr: value}, parent_row]``
+  rows in breadth-first order, the root first with parent ``-1``; the
+  server reads them straight into a
+  :class:`~repro.xmlmodel.frozen.FrozenTree` (:func:`frozen_from_wire`),
+  and the JSON nests a fixed few levels whatever the document's depth.
+  Constants are plain strings and nulls (which occur in solution trees
+  the server returns) are tagged ``{"null": n}``; any other value is a
+  ``ValueError``;
 * **queries** travel as tree-pattern text (:func:`repro.parse_pattern`
   syntax); the server wraps them with :func:`repro.pattern_query`;
 * **answer sets** travel as a sorted list of value lists (``null`` for a
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..exchange.errors import ChaseError, ExchangeError, NoSolutionError
 from ..exchange.setting import DataExchangeSetting
@@ -36,6 +41,7 @@ from ..exchange.std import std
 from ..patterns.parse import parse_pattern
 from ..patterns.queries import Query, pattern_query
 from ..xmlmodel.dtd import DTD
+from ..xmlmodel.frozen import FrozenTree
 from ..xmlmodel.tree import XMLTree
 from ..xmlmodel.values import Null, Value, is_null
 from ..storage import UnknownDocumentError
@@ -43,7 +49,8 @@ from .quota import QuotaExceededError
 from .registry import UnknownSettingError
 
 __all__ = ["encode_line", "decode_line", "value_to_wire", "value_from_wire",
-           "tree_to_wire", "tree_from_wire", "dtd_to_wire", "dtd_from_wire",
+           "tree_to_wire", "frozen_from_wire", "tree_from_wire",
+           "dtd_to_wire", "dtd_from_wire",
            "setting_to_wire", "setting_from_wire", "query_from_wire",
            "answers_to_wire", "error_to_wire", "error_from_wire",
            "ServerError"]
@@ -74,104 +81,100 @@ def value_to_wire(value: Value) -> Any:
 
 
 def value_from_wire(wire: Any) -> Value:
-    if isinstance(wire, dict):
-        return Null(int(wire["null"]))
-    return wire
+    """A constant (a string) or a null (``{"null": <int>}``); anything
+    else is a ``ValueError`` — values are drawn from Str (Section 3.2), and
+    any other value would silently drop out of every certain answer."""
+    if isinstance(wire, str):
+        return wire
+    if isinstance(wire, dict) and wire.keys() == {"null"}:
+        ident = wire["null"]
+        if type(ident) is int:
+            return Null(ident)
+    raise ValueError(f'values travel as strings or {{"null": <int>}}, '
+                     f"got {wire!r:.60}")
 
 
-#: Trees nested deeper than this travel in the *flat* wire format: the
-#: nested triples are interoperable with older peers but the JSON
-#: encoder/decoder (and the pre-PR-5 recursive codec) recurse per nesting
-#: level, so very deep documents — which the engine itself handles fine,
-#: every tree traversal being iterative — would blow the ~1000-frame
-#: recursion guards.  800 keeps every depth an old peer could actually
-#: round-trip on the old nested format (preserving both-ways interop for
-#: that whole window) and switches to the recursion-free encoding only
-#: where the old format was already broken.
-NESTED_TREE_DEPTH_LIMIT = 800
+def tree_to_wire(tree: Union[XMLTree, FrozenTree]) -> List[List[Any]]:
+    """The document's wire rows ``[label, {attr: value}, parent_row]``,
+    read off its snapshot in BFS order: the root first, with parent
+    ``-1``.  Attributes are listed by name."""
+    frozen = tree.freeze()
+    rows = [[frozen.label(pos), {}, parent]
+            for pos, parent in enumerate(frozen.parents)]
+    for name, table in sorted(zip(frozen.attr_names, frozen.attr_tables),
+                              key=lambda column: column[0]):
+        for pos, value in table.items():
+            rows[pos][1][name] = value_to_wire(value)
+    return rows
 
 
-def _wire_attrs(tree: XMLTree, ident: int) -> Dict[str, Any]:
-    return {name: value_to_wire(value)
-            for name, value in sorted(tree.attributes(ident).items())}
+def frozen_from_wire(wire: Any, ordered: bool = True) -> FrozenTree:
+    """The snapshot of a wire document, filled in one pass over its rows
+    (a node's BFS position and ``orig_ids`` entry is its row number).
 
-
-def tree_to_wire(tree: XMLTree, ident: Optional[int] = None) -> Any:
-    """The (sub)tree in wire form.
-
-    Nested ``[label, attrs, children]`` triples for ordinary documents;
-    documents deeper than :data:`NESTED_TREE_DEPTH_LIMIT` switch to the
-    flat ``{"flat": [[label, attrs, parent_index], ...]}`` encoding
-    (pre-order, parents before children), which neither the codec nor the
-    JSON layer recurses on.  Both encoders are iterative; depth is tracked
-    *during* the nested encode, so the common (shallow) case pays exactly
-    one traversal and only an over-deep document restarts in flat form.
-    """
-    if ident is None:
-        ident = tree.root
-    assembled: Dict[int, List[Any]] = {}
-    walk: List[Tuple[int, int, bool]] = [(ident, 0, False)]
-    while walk:
-        node_id, level, expanded = walk.pop()
-        if not expanded:
-            if level > NESTED_TREE_DEPTH_LIMIT:
-                return _flat_tree_wire(tree, ident)
-            walk.append((node_id, level, True))
-            walk.extend((child, level + 1, False)
-                        for child in tree.children(node_id))
-            continue
-        children = [assembled.pop(child)
-                    for child in tree.children(node_id)]
-        assembled[node_id] = [tree.label(node_id),
-                              _wire_attrs(tree, node_id), children]
-    return assembled[ident]
-
-
-def _flat_tree_wire(tree: XMLTree, ident: int) -> Dict[str, Any]:
-    """The recursion-free encoding for over-deep documents."""
-    flat: List[List[Any]] = []
-    positions: Dict[int, int] = {}
-    order: List[int] = [ident]
-    cursor = 0
-    while cursor < len(order):
-        node_id = order[cursor]
-        positions[node_id] = cursor
-        cursor += 1
-        order.extend(tree.children(node_id))
-    for node_id in order:
-        parent = tree.parent(node_id)
-        flat.append([tree.label(node_id), _wire_attrs(tree, node_id),
-                     -1 if node_id == ident else positions[parent]])
-    return {"flat": flat}
+    Raises ``ValueError`` unless the rows are a BFS layout: a non-empty
+    list of ``[str, dict, int]`` rows, the root's parent ``-1`` and every
+    other parent an earlier row, never decreasing — so each node's
+    children are one contiguous run of rows, in sibling order."""
+    if not isinstance(wire, list) or not wire:
+        raise ValueError("a tree travels as a non-empty list of "
+                         "[label, {attr: value}, parent_row] rows")
+    n = len(wire)
+    label_ids: Dict[str, int] = {}
+    label_names: List[str] = []
+    attr_ids: Dict[str, int] = {}
+    attr_names: List[str] = []
+    attr_tables: List[Dict[int, Value]] = []
+    labels: List[int] = []
+    parents: List[int] = []
+    child_start = [0] * n
+    child_end = [0] * n
+    previous = 0
+    for pos, row in enumerate(wire):
+        if not (isinstance(row, list) and len(row) == 3
+                and isinstance(row[0], str) and isinstance(row[1], dict)
+                and type(row[2]) is int):
+            raise ValueError(f"tree row {pos} is not a [label, "
+                             f"{{attr: value}}, parent_row] triple")
+        label, row_attrs, parent = row
+        if pos == 0:
+            if parent != -1:
+                raise ValueError(f"the root row's parent is {parent}, "
+                                 f"not -1")
+        elif previous <= parent < pos:
+            if child_end[parent] == 0:
+                child_start[parent] = pos
+            child_end[parent] = pos + 1
+            previous = parent
+        else:
+            raise ValueError(f"tree row {pos} has parent {parent}: parents "
+                             f"are earlier rows, in BFS order")
+        parents.append(parent)
+        lid = label_ids.get(label)
+        if lid is None:
+            lid = label_ids[label] = len(label_names)
+            label_names.append(label)
+        labels.append(lid)
+        for name, value in row_attrs.items():
+            aid = attr_ids.get(name)
+            if aid is None:
+                aid = attr_ids[name] = len(attr_names)
+                attr_names.append(name)
+                attr_tables.append({})
+            attr_tables[aid][pos] = value_from_wire(value)
+    return FrozenTree(
+        ordered=ordered, labels=tuple(labels),
+        label_names=tuple(label_names), label_ids=label_ids,
+        parents=tuple(parents), child_start=tuple(child_start),
+        child_end=tuple(child_end), attr_names=tuple(attr_names),
+        attr_ids=attr_ids, attr_tables=tuple(attr_tables),
+        orig_ids=tuple(range(n)))
 
 
 def tree_from_wire(wire: Any, ordered: bool = True) -> XMLTree:
-    """Rebuild a tree from either wire encoding (iteratively)."""
-    if isinstance(wire, dict):
-        nodes = wire["flat"]
-        label, attrs, _ = nodes[0]
-        tree = XMLTree(str(label), ordered=ordered)
-        idents = [tree.root]
-        for name, value in attrs.items():
-            tree.set_attribute(tree.root, name, value_from_wire(value))
-        for label, attrs, parent in nodes[1:]:
-            idents.append(tree.add_child(
-                idents[parent], str(label),
-                {name: value_from_wire(value)
-                 for name, value in attrs.items()}))
-        return tree
-    label, attrs, children = wire
-    tree = XMLTree(str(label), ordered=ordered)
-    for name, value in attrs.items():
-        tree.set_attribute(tree.root, name, value_from_wire(value))
-    stack = [(tree.root, child) for child in reversed(children)]
-    while stack:
-        parent, (label, attrs, kids) = stack.pop()
-        node = tree.add_child(parent, str(label),
-                              {name: value_from_wire(value)
-                               for name, value in attrs.items()})
-        stack.extend((node, kid) for kid in reversed(kids))
-    return tree
+    """The wire document as a mutable tree: :func:`frozen_from_wire`,
+    thawed."""
+    return frozen_from_wire(wire, ordered).thaw()
 
 
 # --------------------------------------------------------------------- #

@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 from ..engine import EngineResult
 from ..patterns.queries import Query
+from ..xmlmodel.frozen import FrozenTree
 from ..xmlmodel.tree import XMLTree
 from .quota import QuotaExceededError
 
@@ -37,18 +38,19 @@ OPERATIONS = ("consistency", "classify", "solve", "certain_answers")
 class ExchangeRequest:
     """One routable unit of work against a registered setting.
 
-    Per-tree requests carry the source document either inline (``tree``)
-    or by reference (``tree_fp`` — the document's fingerprint in the
-    corpus store the serving side has attached).  Fingerprint-addressed
-    requests are the cheap form: nothing tree-sized travels with the
-    request, and the executing shard resolves the fingerprint through its
-    engine's store (raising the typed
-    :class:`~repro.storage.UnknownDocumentError` for absent documents).
+    Per-tree requests carry the source document either inline (``tree``,
+    a ``FrozenTree``: an ``XMLTree`` is replaced by its ``freeze()``) or
+    by reference (``tree_fp`` — the document's fingerprint in the corpus
+    store the serving side has attached).  Fingerprint-addressed requests
+    are the cheap form: nothing tree-sized travels with the request, and
+    the executing shard resolves the fingerprint through its engine's
+    store (raising the typed :class:`~repro.storage.UnknownDocumentError`
+    for absent documents).
     """
 
     op: str
     fingerprint: str
-    tree: Optional[XMLTree] = None
+    tree: Optional[FrozenTree] = None
     query: Optional[Query] = None
     variable_order: Optional[Tuple[str, ...]] = None
     strategy: str = "auto"
@@ -67,10 +69,13 @@ class ExchangeRequest:
                                  f"or a tree_fp, not both")
         if self.op == "certain_answers" and self.query is None:
             raise ValueError("'certain_answers' requests need a query")
+        if self.tree is not None:
+            object.__setattr__(self, "tree", self.tree.freeze())
 
     @property
     def source(self):
-        """What the engine consumes: the inline tree, or the fingerprint."""
+        """What the engine consumes: the inline snapshot, or the
+        fingerprint."""
         return self.tree if self.tree is not None else self.tree_fp
 
     def __repr__(self) -> str:
@@ -90,7 +95,7 @@ def classify_request(fingerprint: str) -> ExchangeRequest:
 
 
 def solve_request(fingerprint: str,
-                  tree: Union[XMLTree, str]) -> ExchangeRequest:
+                  tree: Union[XMLTree, FrozenTree, str]) -> ExchangeRequest:
     """A canonical-solution request for one source tree (inline, or a
     stored-document fingerprint)."""
     if isinstance(tree, str):
@@ -98,7 +103,8 @@ def solve_request(fingerprint: str,
     return ExchangeRequest("solve", fingerprint, tree=tree)
 
 
-def certain_answers_request(fingerprint: str, tree: Union[XMLTree, str],
+def certain_answers_request(fingerprint: str,
+                            tree: Union[XMLTree, FrozenTree, str],
                             query: Query,
                             variable_order: Optional[Sequence[str]] = None
                             ) -> ExchangeRequest:

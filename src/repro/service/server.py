@@ -78,6 +78,11 @@ request ``op``       reply (all carry ``"ok"``; errors add ``error``/
                      (in-flight requests on the connection reply first)
 ===================  ====================================================
 
+**Source documents are snapshots**: an inline ``"tree"`` is read straight
+into a ``FrozenTree`` (:func:`~repro.service.protocol.frozen_from_wire`),
+which ``put_tree`` stores and ``solve`` / ``certain_answers`` hand to the
+shard (or a host frame); no ``XMLTree`` is built for it.
+
 Engine failures (``ChaseError``, precondition ``ValueError``\\ s, unknown
 fingerprints, quota rejections) are *responses*, never connection drops:
 the error class name travels in ``error`` so clients can re-raise
@@ -99,8 +104,8 @@ from ..obs.trace import enabled as obs_enabled
 from ..obs.trace import records as obs_records
 from ..obs.trace import span as obs_span
 from .protocol import (answers_to_wire, decode_line, encode_line,
-                       error_to_wire, query_from_wire, setting_from_wire,
-                       tree_from_wire, tree_to_wire)
+                       error_to_wire, frozen_from_wire, query_from_wire,
+                       setting_from_wire, tree_to_wire)
 from .quota import QuotaPolicy
 from .service import SERVICE_EXECUTORS, AsyncExchangeService
 
@@ -302,18 +307,19 @@ class ExchangeServer:
         self.requests += 1
 
         async def wire_tree(wire: Any):
-            """Deserialize the request tree — off-loop when the request
-            line was big, so a huge source tree cannot stall the loop."""
+            """The request tree's snapshot, read straight from its rows —
+            off-loop when the request line was big, so a huge source tree
+            cannot stall the loop."""
             if big:
                 with obs_span("server.codec", kind="tree"):
                     return await self.service.offload(
-                        lambda: tree_from_wire(wire))
-            return tree_from_wire(wire)
+                        lambda: frozen_from_wire(wire))
+            return frozen_from_wire(wire)
 
         async def wire_source(msg: Dict[str, Any]):
             """The per-tree request's source: a stored-document fingerprint
             (``tree_fp``, nothing tree-sized on the wire) or the inline
-            ``tree`` — the compatibility path."""
+            ``tree``'s snapshot."""
             if msg.get("tree_fp") is not None:
                 return str(msg["tree_fp"])
             return await wire_tree(msg["tree"])

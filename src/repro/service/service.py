@@ -70,6 +70,7 @@ from ..obs.trace import (activate, current_context, emit,
                          enabled as obs_enabled, span as obs_span)
 from ..patterns.queries import Query
 from ..storage import CorpusStore, StoreError
+from ..xmlmodel.frozen import FrozenTree
 from ..xmlmodel.tree import XMLTree
 from .host import ShardHost
 from .quota import QuotaExceededError, QuotaPolicy
@@ -215,7 +216,7 @@ class AsyncExchangeService:
                 restored.append(item.fingerprint)
         return restored
 
-    async def put_tree(self, tree: XMLTree) -> str:
+    async def put_tree(self, tree: Union[XMLTree, FrozenTree]) -> str:
         """Store a source document; returns its fingerprint, usable in
         place of an inline tree on every per-tree request.  The write runs
         off the event loop (store I/O is blocking)."""
@@ -268,11 +269,11 @@ class AsyncExchangeService:
         return await self.submit(classify_request(fingerprint))
 
     async def solve(self, fingerprint: str,
-                    tree: Union[XMLTree, str]) -> EngineResult:
+                    tree: Union[XMLTree, FrozenTree, str]) -> EngineResult:
         return await self.submit(solve_request(fingerprint, tree))
 
     async def certain_answers(self, fingerprint: str,
-                              tree: Union[XMLTree, str],
+                              tree: Union[XMLTree, FrozenTree, str],
                               query: Query,
                               variable_order: Optional[Sequence[str]] = None
                               ) -> EngineResult:

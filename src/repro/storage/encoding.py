@@ -40,7 +40,7 @@ from ..xmlmodel.frozen import FrozenTree
 from ..xmlmodel.values import Null, Value
 from .errors import StoreError
 
-__all__ = ["encode_document", "decode_document", "decode_intervals"]
+__all__ = ["encode_document", "decode_document"]
 
 _MAGIC = b"RPST"
 _VERSION = 1
@@ -193,7 +193,6 @@ def decode_document(record: memoryview) -> FrozenTree:
         parents=_ints_from_bytes(sections[_SEC_PARENTS]),
         child_start=_ints_from_bytes(sections[_SEC_CHILD_START]),
         child_end=_ints_from_bytes(sections[_SEC_CHILD_END]),
-        post_order=tuple(range(n - 1, -1, -1)),
         attr_names=attr_names,
         attr_ids={name: aid for aid, name in enumerate(attr_names)},
         attr_tables=attr_tables,
@@ -210,13 +209,3 @@ def decode_document(record: memoryview) -> FrozenTree:
     frozen._pre_post = (_ints_from_bytes(sections[_SEC_PRE]),
                         _ints_from_bytes(sections[_SEC_POST]))
     return frozen
-
-
-def decode_intervals(record: memoryview) -> Tuple[Tuple[int, ...],
-                                                  Tuple[int, ...]]:
-    """Slice only the pre/post interval columns out of a record — the
-    columnar access path the structural-join plane will use (nothing else
-    in the record is touched or decoded)."""
-    _, _, sections = _read_directory(record)
-    return (_ints_from_bytes(sections[_SEC_PRE]),
-            _ints_from_bytes(sections[_SEC_POST]))

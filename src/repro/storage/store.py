@@ -34,7 +34,7 @@ API — what the server uses when booted without ``--store`` so that
 Counters are :class:`~repro.engine.stats.CacheStats` all the way down
 (RL004): ``store_hits`` / ``store_misses`` count fingerprint resolutions,
 ``store_bytes`` accumulates record bytes actually read off the heap (a
-resolution served from an engine's thawed-tree cache moves ``store_hits``
+resolution served from an engine's snapshot cache moves ``store_hits``
 but not ``store_bytes``).
 """
 
@@ -55,7 +55,7 @@ from ..exchange.setting import DataExchangeSetting
 from ..obs.trace import span as obs_span
 from ..xmlmodel.frozen import FrozenTree
 from ..xmlmodel.tree import XMLTree
-from .encoding import decode_document, decode_intervals, encode_document
+from .encoding import decode_document, encode_document
 from .errors import StoreError, StoreReadOnlyError, UnknownDocumentError
 
 __all__ = ["CorpusStore", "StoredSetting"]
@@ -217,7 +217,7 @@ class CorpusStore:
         with obs_span("storage.put_trees"):
             with self._lock:
                 for tree in trees:
-                    frozen = tree.freeze() if isinstance(tree, XMLTree) else tree
+                    frozen = tree.freeze()
                     fingerprint = frozen.fingerprint()
                     fingerprints.append(fingerprint)
                     if self._document_row(fingerprint) is not None or any(
@@ -311,8 +311,8 @@ class CorpusStore:
         """The stored :class:`FrozenTree` for ``fingerprint``, decoded from
         its record (per-label index and pre/post plane warm, fingerprint
         cache seeded from the catalog key, node idents those of the tree
-        that was stored).  Raises :class:`UnknownDocumentError` for absent
-        fingerprints."""
+        that was stored) — what the engine reads, never thawed.  Raises
+        :class:`UnknownDocumentError` for absent fingerprints."""
         with obs_span("storage.get_tree", fingerprint=fingerprint[:12]):
             with self._lock:
                 row = self._document_row(fingerprint)
@@ -326,30 +326,6 @@ class CorpusStore:
                 self.stats.count("store_bytes", length)
             frozen._fingerprint = fingerprint
             return frozen
-
-    def load_tree(self, fingerprint: str) -> XMLTree:
-        """The stored document thawed back to a mutable-API
-        :class:`XMLTree` with the stored node idents, whose memoised
-        snapshot is the decoded record (:meth:`FrozenTree.thaw`) —
-        addressing, result-cache keys and the pre-solution never re-freeze
-        or re-hash the document."""
-        return self.get_frozen(fingerprint).thaw()
-
-    def intervals(self, fingerprint: str) -> Tuple[Tuple[int, ...],
-                                                   Tuple[int, ...]]:
-        """The pre/post interval columns alone — the columnar access path
-        for structural joins; no other section is decoded."""
-        with self._lock:
-            row = self._document_row(fingerprint)
-            if row is None:
-                self.stats.miss("store")
-                raise UnknownDocumentError(fingerprint)
-            nodes, offset, length = row
-            view = self._record_view(offset, length)
-            pre, post = decode_intervals(view)
-            self.stats.hit("store")
-            self.stats.count("store_bytes", 8 * nodes)
-        return pre, post
 
     # ------------------------------------------------------------------ #
     # Compiled settings

@@ -14,8 +14,8 @@ A :class:`FrozenTree` is a read-only snapshot of an
   the plan evaluator of :mod:`repro.patterns.plan`;
 * attribute values live in per-attribute tables ``{node: value}`` keyed by
   the interned attribute id — one dict lookup per attribute test;
-* ``post_order`` is a precomputed bottom-up order (every node after all
-  of its descendants), which the Merkle digest fold iterates;
+* ``post_order`` is a bottom-up order (every node after all of its
+  descendants), which the Merkle digest fold iterates;
 * :meth:`pre_post` derives (and caches) the **pre/post interval plane** of
   the XPath-accelerator encoding — the single source of truth shared by
   the storage record encoder (:mod:`repro.storage.encoding`) and the plan
@@ -30,7 +30,10 @@ A :class:`FrozenTree` is a read-only snapshot of an
 Freezing pays one O(n) pass; everything afterwards is allocation-free
 reads.  A tree memoises its snapshot (:meth:`XMLTree.freeze`), so the
 pre-solution, the chase's conformance check and query evaluation all
-share one; :meth:`thaw` hands a decoded snapshot to the tree it rebuilds.
+share one.  A source document is a snapshot end to end, decoded from
+the wire or the store without an ``XMLTree``; :meth:`FrozenTree.freeze`
+returns the snapshot itself, so a reader taking either form calls
+``.freeze()``.  :meth:`thaw` rebuilds a mutable tree around a snapshot.
 """
 
 from __future__ import annotations
@@ -100,16 +103,16 @@ def compute_pre_post(child_start: Sequence[int], child_end: Sequence[int],
 class FrozenTree:
     """An immutable array-backed snapshot of an XML tree.
 
-    Build one with :meth:`XMLTree.freeze`, which memoises it on the tree.
-    All fields are read-only by convention; nothing in the pipeline
-    mutates a frozen tree, and the fingerprint cache relies on that.
+    Build one with :meth:`XMLTree.freeze`, which memoises it on the tree,
+    or decode one from the wire or the store.  All fields are read-only by
+    convention; nothing in the pipeline mutates a frozen tree, and the
+    fingerprint cache relies on that.
     """
 
     __slots__ = (
         "ordered", "n",
         "labels", "label_names", "label_ids",
         "parents", "child_start", "child_end",
-        "post_order",
         "attr_names", "attr_ids", "attr_tables",
         "orig_ids",
         "_by_label", "_fingerprint",
@@ -122,7 +125,7 @@ class FrozenTree:
     def __init__(self, *, ordered: bool, labels: Tuple[int, ...],
                  label_names: Tuple[str, ...], label_ids: Dict[str, int],
                  parents: Tuple[int, ...], child_start: Tuple[int, ...],
-                 child_end: Tuple[int, ...], post_order: Tuple[int, ...],
+                 child_end: Tuple[int, ...],
                  attr_names: Tuple[str, ...], attr_ids: Dict[str, int],
                  attr_tables: Tuple[Dict[int, Value], ...],
                  orig_ids: Tuple[int, ...]) -> None:
@@ -134,7 +137,6 @@ class FrozenTree:
         self.parents = parents
         self.child_start = child_start
         self.child_end = child_end
-        self.post_order = post_order
         self.attr_names = attr_names
         self.attr_ids = attr_ids
         self.attr_tables = attr_tables
@@ -144,6 +146,13 @@ class FrozenTree:
         self._pre_post: Optional[Tuple[Tuple[int, ...],
                                        Tuple[int, ...]]] = None
         self._depths: Optional[Tuple[int, ...]] = None
+
+    @property
+    def post_order(self) -> range:
+        """Positions descending: children carry larger BFS positions than
+        their parent, so this visits every node after all of its
+        descendants — a bottom-up order without a DFS pass."""
+        return range(self.n - 1, -1, -1)
 
     @property
     def nodes_by_label(self) -> Tuple[Tuple[int, ...], ...]:
@@ -239,11 +248,6 @@ class FrozenTree:
                 attr_tables[aid][pos] = value
             pos += 1
 
-        # Children always carry larger BFS ids than their parent, so walking
-        # ids descending visits every node after all of its descendants — a
-        # valid bottom-up (post-) order without a DFS pass.
-        post_order = tuple(range(len(queue) - 1, -1, -1))
-
         return cls(
             ordered=tree.ordered,
             labels=tuple(labels),
@@ -252,7 +256,6 @@ class FrozenTree:
             parents=tuple(parents),
             child_start=tuple(child_start),
             child_end=tuple(child_end),
-            post_order=post_order,
             attr_names=tuple(attr_names),
             attr_ids=attr_ids,
             attr_tables=tuple(attr_tables),
@@ -265,6 +268,11 @@ class FrozenTree:
 
     def __len__(self) -> int:
         return self.n
+
+    def freeze(self) -> "FrozenTree":
+        """The snapshot itself — the read view :meth:`XMLTree.freeze`
+        gives a tree, so a reader taking either form calls ``.freeze()``."""
+        return self
 
     def label(self, pos: int) -> str:
         """The label string of the node at ``pos``."""
@@ -313,10 +321,9 @@ class FrozenTree:
         — so its fingerprint, conformance check and plans never re-freeze
         or re-hash it.
 
-        This is the load path of the persistent corpus store: the chase
-        consumes ``XMLTree`` sources, so a fingerprint-addressed request
-        thaws the decoded record once and caches the result.  One pass over
-        the columns: a node's children are the contiguous slice
+        The request path never thaws a source document; this serves
+        callers that want a mutable tree (``tree_from_wire``).  One pass
+        over the columns: a node's children are the contiguous slice
         ``orig_ids[child_start:child_end]`` of its BFS position.
         """
         from .tree import XMLNode, XMLTree

@@ -7,6 +7,7 @@ request.  Codec tests below need no server.
 """
 
 import asyncio
+import json
 import socket
 import subprocess
 import sys
@@ -14,13 +15,47 @@ import threading
 
 import pytest
 
-from repro import ChaseError, DataExchangeSetting, DTD, Null, XMLTree, std
+from repro import (ChaseError, DataExchangeSetting, DTD, ExchangeEngine, Null,
+                   XMLTree, std)
+from repro.generators import generate_scenario
 from repro.service.client import ServiceClient
-from repro.service.protocol import (answers_to_wire, setting_from_wire,
+from repro.service.protocol import (answers_to_wire, decode_line, encode_line,
+                                    frozen_from_wire, setting_from_wire,
                                     setting_to_wire, tree_from_wire,
                                     tree_to_wire, value_from_wire,
                                     value_to_wire)
 from repro.workloads import library
+
+
+def _library_rows(name):
+    """``library.generate_source(1, authors_per_book=1, seed=1)`` in wire
+    rows, with ``name`` as the author's name."""
+    return [["db", {}, -1], ["book", {"title": "Book-0"}, 0],
+            ["author", {"aff": "University-1", "name": name}, 1]]
+
+
+#: Trees the wire refuses, each with the complaint it gets: parents that
+#: Python's negative indexing would resolve, a root row with a parent, a
+#: numeric attribute value, the nested ``[label, attrs, children]`` triple
+#: of the retired encoding, rows out of BFS order and malformed rows.
+_MALFORMED_TREES = {
+    "negative-parents": ([["r", {}, -1], ["a", {}, -1], ["b", {}, -2]],
+                         "row 1 has parent -1"),
+    "root-with-parent": ([["r", {}, 5], ["a", {}, 0]],
+                         "root row's parent is 5"),
+    "numeric-value": (_library_rows(7), "got 7"),
+    "nested-triple": (["r", {}, []], "row 0 is not"),
+    "not-bfs": ([["r", {}, -1], ["a", {}, 0], ["c", {}, 1], ["b", {}, 0]],
+                "row 3 has parent 0"),
+    "own-parent": ([["r", {}, -1], ["a", {}, 1]], "row 1 has parent 1"),
+    "short-row": ([["r", {}, -1], ["a", {}]], "row 1 is not"),
+    "string-parent": ([["r", {}, -1], ["a", {}, "0"]], "row 1 is not"),
+    "bool-parent": ([["r", {}, -1], ["a", {}, True]], "row 1 is not"),
+    "numeric-label": ([["r", {}, -1], [1, {}, 0]], "row 1 is not"),
+    "list-attrs": ([["r", {}, -1], ["a", [], 0]], "row 1 is not"),
+    "empty": ([], "non-empty list"),
+    "object": ({"flat": [["r", {}, -1]]}, "non-empty list"),
+}
 
 
 class TestProtocolCodec:
@@ -35,6 +70,32 @@ class TestProtocolCodec:
         assert value_from_wire(value_to_wire("v")) == "v"
         assert value_from_wire(value_to_wire(Null(7))) == Null(7)
 
+    def test_values_are_strings_or_tagged_nulls(self):
+        for wire in (7, 1.5, True, None, [1], {"null": "3"},
+                     {"null": True}, {"null": 3, "x": "1"}):
+            with pytest.raises(ValueError):
+                value_from_wire(wire)
+
+    @pytest.mark.parametrize("name", sorted(_MALFORMED_TREES))
+    def test_malformed_trees_raise_value_error(self, name):
+        wire, complaint = _MALFORMED_TREES[name]
+        with pytest.raises(ValueError, match=complaint):
+            tree_from_wire(wire)
+        with pytest.raises(ValueError, match=complaint):
+            frozen_from_wire(wire)
+
+    def test_numeric_value_is_refused_where_a_string_answers(
+            self, library_setting):
+        """A number would be neither a constant nor a null, so it would
+        drop out of the certain answers without an error."""
+        query = library.query_writer_of("Book-0")
+        engine = ExchangeEngine(library_setting)
+        tree = frozen_from_wire(_library_rows("Author-1"))
+        assert engine.certain_answers(tree, query, ["w"]).payload == \
+            {("Author-1",)}
+        with pytest.raises(ValueError, match="got 7"):
+            frozen_from_wire(_library_rows(7))
+
     def test_setting_round_trip_preserves_fingerprint(self, library_setting,
                                                       company_setting,
                                                       figure_6_setting):
@@ -47,6 +108,48 @@ class TestProtocolCodec:
         assert answers_to_wire({("b", "2"), ("a", "1")}) == \
             [["a", "1"], ["b", "2"]]
         assert answers_to_wire(set()) == []
+
+
+class TestRowWire:
+    """One tree encoding: BFS rows, read straight into a snapshot."""
+
+    WIDTH = 32_000
+
+    def test_wide_root_decodes_without_add_child(self, monkeypatch):
+        tree = XMLTree("r")
+        for index in range(self.WIDTH):
+            tree.add_child(tree.root, "c", {"i": str(index)})
+        fingerprint = tree.fingerprint()
+        wire = decode_line(encode_line({"tree": tree_to_wire(tree)}))["tree"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decoding a wire tree called add_child")
+
+        monkeypatch.setattr(XMLTree, "add_child", refuse)
+        assert frozen_from_wire(wire).fingerprint() == fingerprint
+        thawed = tree_from_wire(wire)
+        assert len(thawed.children(thawed.root)) == self.WIDTH
+        assert thawed.fingerprint() == fingerprint
+
+    def test_generated_documents_round_trip(self):
+        """Source trees (ordered) and their canonical solutions
+        (unordered, with nulls) keep their fingerprints through the rows,
+        and a thawed tree encodes back to the same rows."""
+        unordered = 0
+        for seed in range(60):
+            scenario = generate_scenario(seed)
+            engine = ExchangeEngine(scenario.setting)
+            trees = list(scenario.source_trees)
+            trees += [result.payload for result in engine.solve_batch(trees)
+                      if result.ok]
+            for tree in trees:
+                wire = json.loads(json.dumps(tree_to_wire(tree)))
+                frozen = frozen_from_wire(wire, tree.ordered)
+                assert frozen.fingerprint() == tree.fingerprint(), seed
+                assert tree_to_wire(tree_from_wire(wire, tree.ordered)) == \
+                    wire, seed
+                unordered += not tree.ordered
+        assert unordered > 0
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +168,37 @@ def live_server():
 
 
 class TestLiveServer:
+    def test_bad_trees_get_typed_replies_and_the_connection_survives(
+            self, live_server):
+        # Runs before the conversation test below, which shuts the module's
+        # server down.
+        host, port, _ = live_server
+        with ServiceClient(host, port) as client:
+            fingerprint = client.register(library.library_setting())
+        bad_trees = [
+            ["r", {}, []],
+            [["db", {}, -1], ["book", {"title": "Book-0"}, 0],
+             ["author", {"aff": "U", "name": "A"}, 1],
+             ["book", {"title": "Book-1"}, 0]],
+            _library_rows(7),
+        ]
+        with socket.create_connection((host, port), timeout=30) as sock:
+            with sock.makefile("rb") as reader:
+                def exchange(message):
+                    sock.sendall(encode_line(message))
+                    return decode_line(reader.readline())
+
+                for tree in bad_trees:
+                    for message in (
+                            {"op": "certain_answers",
+                             "fingerprint": fingerprint, "tree": tree,
+                             "query": "bib[writer(@name=w)]"},
+                            {"op": "put_tree", "tree": tree}):
+                        reply = exchange(message)
+                        assert reply["ok"] is False, reply
+                        assert reply["error"] == "ValueError", reply
+                        assert exchange({"op": "ping"})["pong"] is True
+
     def test_full_conversation_and_clean_shutdown(self, live_server):
         host, port, process = live_server
         setting = library.library_setting()

@@ -21,8 +21,7 @@ from repro.engine.compiled import compile_setting
 from repro.service import SettingRegistry, ShardHost
 from repro.storage import (CorpusStore, StoreError, StoreReadOnlyError,
                            UnknownDocumentError)
-from repro.storage.encoding import (decode_document, decode_intervals,
-                                    encode_document)
+from repro.storage.encoding import decode_document, encode_document
 from repro.workloads import library
 from repro.xmlmodel import XMLTree
 from repro.xmlmodel.frozen import compute_pre_post
@@ -97,10 +96,10 @@ class TestEncoding:
             assert sorted(pre) == list(range(frozen.n))
             assert sorted(post) == list(range(frozen.n))
 
-    def test_decode_intervals_matches_full_decode(self):
+    def test_decoded_intervals_match_the_plane(self):
         frozen = _tree(size=2, seed=3).freeze()
         record = memoryview(encode_document(frozen))
-        pre, post = decode_intervals(record)
+        pre, post = decode_document(record).pre_post()
         assert (pre, post) == compute_pre_post(
             frozen.child_start, frozen.child_end, frozen.n)
 
@@ -111,8 +110,7 @@ class TestEncoding:
             node = tree.add_child(node, "r")
         back = decode_document(memoryview(encode_document(tree.freeze())))
         assert back.n == 4001
-        assert decode_intervals(
-            memoryview(encode_document(tree.freeze())))[0][0] == 0
+        assert back.pre_post()[0][0] == 0
 
 
 # --------------------------------------------------------------------- #
@@ -126,7 +124,7 @@ class TestCorpusStore:
         fingerprint = store.put_tree(tree)
         assert fingerprint == tree.fingerprint()
         assert store.has_tree(fingerprint)
-        loaded = store.load_tree(fingerprint)
+        loaded = store.get_frozen(fingerprint)
         assert loaded.fingerprint() == fingerprint
         snapshot = store.stats.snapshot()
         assert snapshot["store_hits"] == 1
@@ -143,7 +141,7 @@ class TestCorpusStore:
             store.get_frozen("ab" * 32)
         error = None
         try:
-            store.load_tree("cd" * 32)
+            store.get_frozen("cd" * 32)
         except UnknownDocumentError as caught:
             error = caught
         assert error is not None and error.fingerprint == "cd" * 32
@@ -173,7 +171,7 @@ class TestCorpusStore:
         with CorpusStore(path) as store:
             fingerprint = store.put_tree(tree)
         with CorpusStore(path, read_only=True) as reader:
-            assert reader.load_tree(fingerprint).fingerprint() == fingerprint
+            assert reader.get_frozen(fingerprint).fingerprint() == fingerprint
             with pytest.raises(StoreReadOnlyError):
                 reader.put_tree(tree)
             with pytest.raises(StoreReadOnlyError):
@@ -194,7 +192,7 @@ class TestCorpusStore:
         reader = CorpusStore(path, read_only=True)
         assert reader.has_tree(first)
         second = writer.put_tree(_tree(seed=2))
-        assert reader.load_tree(second).fingerprint() == second
+        assert reader.get_frozen(second).fingerprint() == second
         writer.close()
         reader.close()
 
@@ -211,9 +209,9 @@ class TestCorpusStore:
             handle.write(b"\xde\xad\xbe\xef" * 64)  # torn, uncommitted
         with CorpusStore(path) as store:
             assert os.path.getsize(heap) == committed
-            assert store.load_tree(fingerprint).fingerprint() == fingerprint
+            assert store.get_frozen(fingerprint).fingerprint() == fingerprint
             other = store.put_tree(_tree(seed=9))
-            assert store.load_tree(other).fingerprint() == other
+            assert store.get_frozen(other).fingerprint() == other
 
     def test_setting_roundtrip(self, tmp_path, library_setting):
         path = tmp_path / "store"
@@ -275,7 +273,7 @@ class TestCrossProcess:
         tree = library.generate_source(3, authors_per_book=2, seed=11)
         assert fingerprint == tree.fingerprint()
         with CorpusStore(path, read_only=True) as store:
-            loaded = store.load_tree(fingerprint)
+            loaded = store.get_frozen(fingerprint)
             assert loaded.fingerprint() == fingerprint
             assert store.get_setting(
                 library.library_setting().fingerprint()).prewarm is True
@@ -305,13 +303,13 @@ class TestCrossProcess:
                 # at most one in-flight chunk on top.
                 assert len(fingerprints) >= committed >= survivors
                 for fingerprint in fingerprints:
-                    loaded = store.load_tree(fingerprint)
+                    loaded = store.get_frozen(fingerprint)
                     assert loaded.fingerprint() == fingerprint
                 assert store.summary()["store_data_bytes"] == \
                     os.path.getsize(path / "trees.bin")
                 survivors = len(fingerprints)
                 extra = store.put_tree(_tree(seed=999))
-                assert store.load_tree(extra).fingerprint() == extra
+                assert store.get_frozen(extra).fingerprint() == extra
                 survivors += 1
 
 
@@ -403,8 +401,8 @@ class TestEngineStore:
 
 
 class TestStoredReadView:
-    """A stored document is decoded once: the thawed tree keeps the stored
-    idents and memoises the decoded record as its snapshot."""
+    """A stored document is decoded once, into the snapshot the engine
+    reads: nothing re-freezes or thaws it on the request path."""
 
     @pytest.fixture
     def snapshots_built(self, monkeypatch):
@@ -420,8 +418,22 @@ class TestStoredReadView:
         monkeypatch.setattr(FrozenTree, "from_tree", classmethod(counting))
         return built
 
-    def test_load_tree_hands_over_the_decoded_record(self, monkeypatch,
-                                                    snapshots_built):
+    @pytest.fixture
+    def thaws(self, monkeypatch):
+        from repro.xmlmodel.frozen import FrozenTree
+
+        thawed = []
+        thaw = FrozenTree.thaw
+
+        def counting(frozen):
+            thawed.append(frozen)
+            return thaw(frozen)
+
+        monkeypatch.setattr(FrozenTree, "thaw", counting)
+        return thawed
+
+    def test_get_frozen_hands_over_the_decoded_record(self, monkeypatch,
+                                                      snapshots_built):
         from repro.storage import store as store_module
 
         decoded = []
@@ -435,31 +447,37 @@ class TestStoredReadView:
         tree = _tree()
         fingerprint = store.put_tree(tree)
         del snapshots_built[:]
-        loaded = store.load_tree(fingerprint)
+        frozen = store.get_frozen(fingerprint)
+        assert frozen is decoded[0]
+        assert frozen.freeze() is frozen
+        loaded = frozen.thaw()
         assert loaded.freeze() is decoded[0]
         assert loaded.fingerprint() == fingerprint
         assert list(loaded.nodes()) == list(tree.nodes())
         assert snapshots_built == []
 
-    def test_conformance_on_a_thawed_document_names_stored_idents(self):
+    def test_conformance_on_a_stored_document_names_stored_idents(self):
         dtd = library.source_dtd()
         tree = XMLTree.build(("db", [
             ("book", {"title": "B1"}, [("author", {"name": "A"})]),
             ("book", {"title": "B2"})]))
         author = tree.children(tree.children(tree.root)[0])[0]
         store = CorpusStore(None)
-        loaded = store.load_tree(store.put_tree(tree))
-        violations = dtd.conformance_violations(loaded)
+        stored = store.get_frozen(store.put_tree(tree))
+        violations = dtd.conformance_violations(stored)
         assert violations == dtd.conformance_violations(tree)
         assert violations == [
             f"node {author} (author): attributes ['name'] do not match "
             "R(author) = ['aff', 'name']"]
 
     def test_snapshots_per_certain_answers_miss(self, library_setting,
-                                                snapshots_built):
-        """By fingerprint, the stored record serves the pre-solution and
-        only the canonical solution is frozen; inline, the source tree is
-        frozen too."""
+                                                snapshots_built, thaws):
+        """By fingerprint, and inline from the wire, the source is read as
+        the snapshot it was decoded into: only the canonical solution is
+        frozen, and nothing is thawed.  An inline ``XMLTree`` is frozen
+        too."""
+        from repro.service.protocol import frozen_from_wire, tree_to_wire
+
         compiled = compile_setting(library_setting)
         query, order = library.query_writer_of("Book-0"), ["w"]
         store = CorpusStore(None)
@@ -469,6 +487,12 @@ class TestStoredReadView:
         del snapshots_built[:]
         by_fp.certain_answers(fingerprint, query, order)
         assert len(snapshots_built) == 1
+        assert thaws == []
+        wired = frozen_from_wire(tree_to_wire(_tree()))
+        del snapshots_built[:]
+        ExchangeEngine(compiled).certain_answers(wired, query, order)
+        assert len(snapshots_built) == 1
+        assert thaws == []
         del snapshots_built[:]
         ExchangeEngine(compiled).certain_answers(_tree(), query, order)
         assert len(snapshots_built) == 2

@@ -315,12 +315,18 @@ class TestDeepTrees:
 
     def test_wire_roundtrip_deep(self, chain):
         from repro.service.protocol import (decode_line, encode_line,
-                                            tree_from_wire, tree_to_wire)
+                                            frozen_from_wire, tree_from_wire,
+                                            tree_to_wire)
         wire = tree_to_wire(chain)
-        assert isinstance(wire, dict) and "flat" in wire  # deep → flat form
-        # Deep trees must survive the JSON layer too, not just the codec.
+        # One row per node, parents by row: the JSON nests three levels
+        # whatever the depth, so the JSON layer never recurses deeply.
+        assert len(wire) == self.DEPTH + 1
+        assert [row[2] for row in wire] == list(range(-1, self.DEPTH))
         line = encode_line({"tree": wire})
-        rebuilt = tree_from_wire(decode_line(line)["tree"])
+        rows = decode_line(line)["tree"]
+        assert frozen_from_wire(rows).fingerprint() == chain.fingerprint()
+        rebuilt = tree_from_wire(rows)
+        assert rebuilt.depth() == self.DEPTH
         assert rebuilt.fingerprint() == chain.fingerprint()
 
 
