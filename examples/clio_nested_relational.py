@@ -11,7 +11,7 @@ answered as one batch against the shared compiled state.
 Run with:  python examples/clio_nested_relational.py
 """
 
-from repro import order_tree, parse_pattern, pattern_query
+from repro import canonical_solution, order_tree, parse_pattern, pattern_query
 from repro.workloads import nested_relational as nr
 
 
@@ -32,8 +32,12 @@ def main() -> None:
     print(f"Consistency ({consistency.strategy}):", consistency.payload)
 
     solved = engine.solve(source)
+    # The engine returns the solution only; the functional API, run on the
+    # engine's compiled setting, also returns the chase log.
+    steps = canonical_solution(setting, source,
+                               compiled=engine.compiled).steps
     print(f"\nCanonical solution: {len(solved.payload)} nodes, "
-          f"{len(solved.raw.steps)} chase steps, "
+          f"{len(steps)} chase steps, "
           f"{solved.elapsed * 1e3:.1f} ms")
     ordered = order_tree(solved.payload, setting.target_dtd)
     print("Ordered solution conforms:", setting.target_dtd.conforms(ordered))

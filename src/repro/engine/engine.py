@@ -5,7 +5,10 @@ and exposes every pipeline stage as a method returning a uniform
 :class:`EngineResult` — success flag, payload, strategy used, wall-clock
 timing and a cache-stats snapshot — instead of the four unrelated result
 dataclasses of the functional API (which remains available and is what the
-engine delegates to, handing it the compiled setting).
+engine delegates to, handing it the compiled setting).  A result carries the
+answer, not the pipeline: the canonical tree, the chase log and consistency
+witnesses stay with the functional API, which a caller who wants them calls
+with ``compiled=engine.compiled``.
 
 Per-tree work (``solve``, ``certain_answers``) is independent across trees
 once the setting is compiled; the ``*_batch`` methods are order-preserving
@@ -14,7 +17,8 @@ serving layer's job: :class:`~repro.service.host.ShardHost` keeps compiled
 settings warm in long-lived worker processes.
 
 On top of the compiled-setting caches the engine keeps a **result cache**
-keyed by ``(tree_fingerprint, query_fingerprint, variable_order)``: repeated
+keyed by ``(tree_fingerprint, query_fingerprint, variable_order)`` whose
+entries are answer sets (``None`` for "no solution"): repeated
 ``certain_answers`` requests for the same tree and query are served without
 re-chasing.  Hits and misses are surfaced through the ``cache`` snapshot of
 every :class:`EngineResult` (``result_cache_hits`` / ``result_cache_misses``)
@@ -51,9 +55,9 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
-                    Tuple, Union)
+                    Set, Tuple, Union)
 
-from ..exchange.certain_answers import CertainAnswers, certain_answers
+from ..exchange.certain_answers import certain_answers
 from ..exchange.chase import ChaseResult, canonical_solution
 from ..exchange.consistency import ConsistencyResult, check_consistency
 from ..exchange.errors import NoSolutionError
@@ -62,7 +66,7 @@ from ..obs.trace import span as obs_span, timer as obs_timer
 from ..patterns.queries import Query
 from ..xmlmodel.frozen import FrozenTree
 from ..xmlmodel.tree import XMLTree
-from ..xmlmodel.values import NullFactory
+from ..xmlmodel.values import NullFactory, Value
 from .compiled import CompiledSetting, compile_setting
 from .stats import CacheStats
 
@@ -74,6 +78,9 @@ __all__ = ["EngineResult", "ExchangeEngine"]
 #: A per-tree operand: the document (a tree or its snapshot), or — with a
 #: store attached — its fingerprint.
 TreeRef = Union[XMLTree, FrozenTree, str]
+
+#: A ``certain_answers`` payload, and what a result-cache entry holds.
+Answers = Set[Tuple[Value, ...]]
 
 #: Bound on the LRU of stored-document snapshots an engine with a store
 #: keeps.
@@ -115,11 +122,10 @@ class EngineResult:
         The engine's :attr:`~ExchangeEngine.stats` view taken after the
         request (cumulative counters; diff two snapshots to see
         per-request reuse).
-    ``raw``
-        The underlying functional-API result object
-        (:class:`ConsistencyResult`, :class:`ChaseResult`,
-        :class:`CertainAnswers`, :class:`DichotomyReport`) for callers that
-        need the full detail.
+    ``detail``
+        Text for a reader: why ``ok`` is false for ``solve`` /
+        ``certain_answers``, the consistency procedure's note, the
+        dichotomy summary for ``classify``.
     """
 
     ok: bool
@@ -128,7 +134,6 @@ class EngineResult:
     elapsed: float
     cache: Dict[str, int] = field(default_factory=dict)
     detail: str = ""
-    raw: Any = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -178,7 +183,7 @@ class ExchangeEngine:
         #: should bound it — least-recently-used entries are then evicted
         #: and counted as ``result_cache_evictions``.
         self.result_cache_maxsize = result_cache_maxsize
-        self._results: "OrderedDict[Tuple[str, str, Optional[Tuple[str, ...]]], CertainAnswers]" = OrderedDict()
+        self._results: "OrderedDict[Tuple[str, str, Optional[Tuple[str, ...]]], Optional[Answers]]" = OrderedDict()
         self._engine_stats = CacheStats()
         #: Attached corpus store (see :meth:`attach_store`) and the LRU of
         #: stored-document snapshots fronting it, keyed by fingerprint.
@@ -292,7 +297,7 @@ class ExchangeEngine:
                 std_classes=list(cached.std_classes),
                 reasons=list(cached.reasons))
             return self._result(True, report, "dichotomy", clock,
-                                detail=report.summary(), raw=report)
+                                detail=report.summary())
 
     def check_consistency(self, strategy: str = "auto",
                           **kwargs: Any) -> EngineResult:
@@ -313,7 +318,7 @@ class ExchangeEngine:
                 compiled=self.compiled, **kwargs)
             return self._result(outcome.consistent, outcome.consistent,
                                 outcome.method, clock,
-                                detail=outcome.detail, raw=outcome)
+                                detail=outcome.detail)
 
     # ------------------------------------------------------------------ #
     # Per-tree operations
@@ -332,8 +337,7 @@ class ExchangeEngine:
             outcome: ChaseResult = canonical_solution(
                 self.setting, source_tree, nulls, compiled=self.compiled)
             return self._result(outcome.success, outcome.tree, "chase",
-                                clock, detail=outcome.failure or "",
-                                raw=outcome)
+                                clock, detail=outcome.failure or "")
 
     def certain_answers(self, source_tree: TreeRef, query: Query,
                         variable_order: Optional[Sequence[str]] = None,
@@ -358,15 +362,15 @@ class ExchangeEngine:
                    else self._result_key(source_tree, query, variable_order))
             if key is not None:
                 with obs_span("engine.cache_lookup"):
-                    cached = self._cache_lookup(key)
-                if cached is not None:
-                    return self._certain_result(cached, clock)
-            outcome: CertainAnswers = certain_answers(
+                    hit, answers = self._cache_lookup(key)
+                if hit:
+                    return self._certain_result(answers, clock)
+            answers = certain_answers(
                 self.setting, source_tree, query, variable_order, nulls,
-                compiled=self.compiled)
+                compiled=self.compiled).answers
             if key is not None:
-                self._cache_store(key, outcome)
-            return self._certain_result(outcome, clock)
+                self._cache_store(key, answers)
+            return self._certain_result(answers, clock)
 
     def _result_key(self, source_tree: FrozenTree, query: Query,
                     variable_order: Optional[Sequence[str]]
@@ -376,35 +380,35 @@ class ExchangeEngine:
         order = tuple(variable_order) if variable_order is not None else None
         return (source_tree.fingerprint(), query.fingerprint(), order)
 
-    def _cache_lookup(self, key: Tuple) -> Optional[CertainAnswers]:
-        """Counted result-cache lookup; a hit refreshes the entry's LRU
-        position."""
+    def _cache_lookup(self, key: Tuple) -> Tuple[bool, Optional[Answers]]:
+        """Counted result-cache lookup: ``(hit, answers)``; a hit refreshes
+        the entry's LRU position."""
         with self._lock:
-            cached = self._results.get(key)
-            if cached is None:
-                self._engine_stats.miss("result_cache")
-            else:
+            hit = key in self._results
+            if hit:
                 self._results.move_to_end(key)
                 self._engine_stats.hit("result_cache")
-            return cached
+            else:
+                self._engine_stats.miss("result_cache")
+            return hit, self._results.get(key)
 
-    def _cache_store(self, key: Tuple, outcome: CertainAnswers) -> None:
-        """Store ``outcome`` under ``key``, evicting least-recently-used
+    def _cache_store(self, key: Tuple, answers: Optional[Answers]) -> None:
+        """Store ``answers`` under ``key``, evicting least-recently-used
         entries beyond ``result_cache_maxsize`` (counted)."""
         with self._lock:
-            self._results[key] = outcome
+            self._results[key] = answers
             self._results.move_to_end(key)
             if self.result_cache_maxsize is not None:
                 while len(self._results) > self.result_cache_maxsize:
                     self._results.popitem(last=False)
                     self._engine_stats.evict("result_cache")
 
-    def _certain_result(self, outcome: CertainAnswers,
+    def _certain_result(self, answers: Optional[Answers],
                         clock: Any) -> EngineResult:
-        detail = "" if outcome.has_solution else "the source tree has no solution"
-        return self._result(outcome.has_solution, outcome.answers,
-                            "canonical-solution", clock,
-                            detail=detail, raw=outcome)
+        if answers is None:
+            return self._result(False, None, "canonical-solution", clock,
+                                detail="the source tree has no solution")
+        return self._result(True, answers, "canonical-solution", clock)
 
     def certain_answer_boolean(self, source_tree: TreeRef,
                                query: Query) -> EngineResult:
@@ -412,9 +416,7 @@ class ExchangeEngine:
         ``ok`` is false (payload ``None``) when no solution exists."""
         result = self.certain_answers(source_tree, query)
         payload = bool(result.payload) if result.ok else None
-        return EngineResult(result.ok, payload, result.strategy,
-                            result.elapsed, result.cache, result.detail,
-                            result.raw)
+        return replace(result, payload=payload)
 
     # ------------------------------------------------------------------ #
     # Batch operations
@@ -454,14 +456,14 @@ class ExchangeEngine:
     # ------------------------------------------------------------------ #
 
     def _result(self, ok: bool, payload: Any, strategy: str, clock: Any,
-                detail: str = "", raw: Any = None) -> EngineResult:
+                detail: str = "") -> EngineResult:
         """Wrap an outcome; ``clock`` is the request's
         :func:`repro.obs.trace.timer` — the one code path every
         ``EngineResult.elapsed`` flows through."""
         with self._lock:
             self.requests += 1
         return EngineResult(ok, payload, strategy, clock.elapsed,
-                            self.stats, detail, raw)
+                            self.stats, detail)
 
     def __repr__(self) -> str:
         return f"<ExchangeEngine {self.compiled!r} requests={self.requests}>"

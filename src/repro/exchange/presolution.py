@@ -8,6 +8,13 @@ the *canonical pre-solution* ``cps(T)``.
 
 ``cps(T)`` is computable in polynomial time; it typically violates the target
 DTD and is subsequently repaired by the chase (:mod:`repro.exchange.chase`).
+
+Each instance is written straight into ``cps(T)``: its root's attributes on
+the ``cps`` root (a value already there is kept), its other nodes appended
+depth-first.  Nulls are drawn in a fixed order, on which canonical-solution
+fingerprints depend: per source match, the existential variables ``z̄``, then
+the root's unbound variables (even where the root keeps a value), then each
+child subtree depth-first.
 """
 
 from __future__ import annotations
@@ -47,25 +54,17 @@ def pattern_to_tree(pattern: TreePattern, assignment: Mapping[str, Value],
             "pattern_to_tree requires a pattern without descendant // and wildcard _")
     if not isinstance(pattern, NodePattern):  # pragma: no cover - defensive
         raise PreSolutionError(f"unexpected pattern shape: {pattern}")
-    binding: Dict[str, Value] = dict(assignment)
     tree = XMLTree(pattern.attribute.label, ordered=ordered)
-    _fill_attributes(tree, tree.root, pattern, binding, factory)
-    for child in pattern.children:
-        _build_node(tree, tree.root, child, binding, factory)
+    _instantiate(tree, tree.root, pattern, dict(assignment), factory)
     return tree
 
 
-def _build_node(tree: XMLTree, parent: int, pattern: TreePattern,
-                binding: Dict[str, Value], factory: NullFactory) -> None:
-    assert isinstance(pattern, NodePattern)
-    node = tree.add_child(parent, pattern.attribute.label)
-    _fill_attributes(tree, node, pattern, binding, factory)
-    for child in pattern.children:
-        _build_node(tree, node, child, binding, factory)
-
-
-def _fill_attributes(tree: XMLTree, node: int, pattern: NodePattern,
-                     binding: Dict[str, Value], factory: NullFactory) -> None:
+def _instantiate(tree: XMLTree, node: int, pattern: NodePattern,
+                 binding: Dict[str, Value], factory: NullFactory) -> None:
+    """Write ``pattern`` under ``binding`` at ``node``: its attributes (a
+    value ``node`` already carries is kept), then its children, appended
+    depth-first; unbound variables draw fresh nulls in that order."""
+    written: Dict[str, Value] = {}
     for attr_name, term in pattern.attribute.assignments:
         if isinstance(term, Variable):
             if term.name not in binding:
@@ -73,11 +72,15 @@ def _fill_attributes(tree: XMLTree, node: int, pattern: NodePattern,
             value = binding[term.name]
         else:
             value = term
-        existing = tree.attribute(node, attr_name)
-        if existing is not None and existing != value:
+        if written.setdefault(attr_name, value) != value:
             raise PreSolutionError(
                 f"conflicting values for @{attr_name} at a single pattern node")
-        tree.set_attribute(node, attr_name, value)
+        if tree.attribute(node, attr_name) is None:
+            tree.set_attribute(node, attr_name, value)
+    for child in pattern.children:
+        assert isinstance(child, NodePattern)
+        _instantiate(tree, tree.add_child(node, child.attribute.label),
+                     child, binding, factory)
 
 
 def canonical_pre_solution(setting: DataExchangeSetting, source_tree: XMLTree,
@@ -87,7 +90,8 @@ def canonical_pre_solution(setting: DataExchangeSetting, source_tree: XMLTree,
 
     The result is an *unordered* tree rooted at the target root element whose
     child subtrees are the instantiated right-hand sides of the STDs, one per
-    satisfying source assignment.
+    satisfying source assignment, written in place (the one tree this call
+    builds; nulls are drawn in the order the module docstring fixes).
 
     Every STD's source pattern runs on the source tree's memoised
     snapshot (:meth:`~repro.xmlmodel.tree.XMLTree.freeze`) as the compiled
@@ -120,8 +124,9 @@ def _instantiate_std(result: XMLTree, dependency: STD, frozen: FrozenTree,
                      stats: "CacheStats") -> None:
     target = dependency.target
     assert isinstance(target, NodePattern)
-    source_vars = dependency.source_variables()
-    var_slots = [(name, plan.slot_of(name)) for name in source_vars]
+    var_slots = [(name, plan.slot_of(name))
+                 for name in dependency.source_variables()]
+    existential = dependency.existential_variables()
     seen: set = set()
     for row in plan.matches(frozen, stats=stats):
         # One instantiation per distinct tuple (s̄, s̄') of source values
@@ -135,13 +140,7 @@ def _instantiate_std(result: XMLTree, dependency: STD, frozen: FrozenTree,
                                      for name, slot in var_slots
                                      if row[slot] is not None}
         # Fresh nulls for the existential target variables z̄.
-        for name in dependency.existential_variables():
+        for name in existential:
             binding[name] = factory.fresh()
-        instance = pattern_to_tree(target, binding, factory)
-        # Merge at the root: graft each child subtree of the instance root.
-        for attr_name, value in instance.attributes(instance.root).items():
-            existing = result.attribute(result.root, attr_name)
-            if existing is None:
-                result.set_attribute(result.root, attr_name, value)
-        for child in instance.children(instance.root):
-            result.graft_subtree(result.root, instance, child)
+        # The instance T_{ψ_T(s̄, s̄'')} merged at the root: written in place.
+        _instantiate(result, result.root, target, binding, factory)

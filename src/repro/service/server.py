@@ -95,7 +95,7 @@ import argparse
 import asyncio
 import sys
 import threading
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, TypeVar
 
 from ..obs.metrics import loop_lag_probe
 from ..obs.metrics import registry as obs_metrics
@@ -108,6 +108,8 @@ from .protocol import (answers_to_wire, decode_line, encode_line,
                        setting_from_wire, tree_to_wire)
 from .quota import QuotaPolicy
 from .service import SERVICE_EXECUTORS, AsyncExchangeService
+
+_T = TypeVar("_T")
 
 __all__ = ["ExchangeServer", "serve_in_background", "main"]
 
@@ -279,6 +281,15 @@ class ExchangeServer:
     #: other connection's replies are written from.
     OFFLOAD_CODEC_BYTES = 64 * 1024
 
+    async def _codec(self, big: bool, kind: str, work: Callable[[], _T]) -> _T:
+        """One codec step of a request: ``work()`` on the loop, or — when
+        the request line was ``big`` — off it, on the service pool, inside
+        a ``server.codec`` span of this ``kind``."""
+        if not big:
+            return work()
+        with obs_span("server.codec", kind=kind):
+            return await self.service.offload(work)
+
     async def _handle_line(self, line: bytes) -> Dict[str, Any]:
         request_id: Any = None
         big = len(line) > self.OFFLOAD_CODEC_BYTES
@@ -286,12 +297,8 @@ class ExchangeServer:
         # codec, service and (host-mode) worker span parents under it.
         with obs_span("server.request", bytes=len(line)) as root:
             try:
-                if big:
-                    with obs_span("server.codec", kind="decode"):
-                        message = await self.service.offload(
-                            lambda: decode_line(line))
-                else:
-                    message = decode_line(line)
+                message = await self._codec(big, "decode",
+                                            lambda: decode_line(line))
                 request_id = message.get("id")
                 root.annotate(op=message.get("op"))
                 reply = await self._dispatch(message, big)
@@ -310,11 +317,8 @@ class ExchangeServer:
             """The request tree's snapshot, read straight from its rows —
             off-loop when the request line was big, so a huge source tree
             cannot stall the loop."""
-            if big:
-                with obs_span("server.codec", kind="tree"):
-                    return await self.service.offload(
-                        lambda: frozen_from_wire(wire))
-            return frozen_from_wire(wire)
+            return await self._codec(big, "tree",
+                                     lambda: frozen_from_wire(wire))
 
         async def wire_source(msg: Dict[str, Any]):
             """The per-tree request's source: a stored-document fingerprint
@@ -346,12 +350,8 @@ class ExchangeServer:
         if op == "register":
             # A big register line means a big setting: rebuild it off-loop
             # like trees, so DTD parsing cannot stall other connections.
-            if big:
-                with obs_span("server.codec", kind="setting"):
-                    setting = await self.service.offload(
-                        lambda: setting_from_wire(message["setting"]))
-            else:
-                setting = setting_from_wire(message["setting"])
+            setting = await self._codec(
+                big, "setting", lambda: setting_from_wire(message["setting"]))
             if message.get("persist"):
                 # persist compiles (under prewarm accounting) and writes
                 # the store — blocking work, so it runs off the loop; the
@@ -389,12 +389,8 @@ class ExchangeServer:
                 payload = result.payload
                 # Solutions are at least source-sized: render big ones
                 # off-loop too.
-                if big:
-                    with obs_span("server.codec", kind="solution"):
-                        solution = await self.service.offload(
-                            lambda: tree_to_wire(payload))
-                else:
-                    solution = tree_to_wire(payload)
+                solution = await self._codec(big, "solution",
+                                             lambda: tree_to_wire(payload))
             else:
                 solution = None
             return {"ok": True, "op": op, "result_ok": result.ok,
@@ -404,27 +400,22 @@ class ExchangeServer:
             order = message.get("variable_order")
             # The query parse rides the same rule as the tree: a big
             # request line must not decode any of its payload on the loop.
-            if big:
-                with obs_span("server.codec", kind="query"):
-                    query = await self.service.offload(
-                        lambda: query_from_wire(message["query"]))
-            else:
-                query = query_from_wire(message["query"])
+            query = await self._codec(
+                big, "query", lambda: query_from_wire(message["query"]))
             result = await self.service.certain_answers(
                 message["fingerprint"], await wire_source(message),
                 query, order)
-            raw = result.raw
             payload = result.payload
             # Answer sets scale with the (big) source tree: render off-loop.
-            if big:
-                with obs_span("server.codec", kind="answers"):
-                    answers = await self.service.offload(
-                        lambda: answers_to_wire(payload))
-            else:
-                answers = answers_to_wire(payload)
+            answers = await self._codec(big, "answers",
+                                        lambda: answers_to_wire(payload))
+            # The order the answer tuples follow: the request's, else the
+            # query's free variables (repro.exchange.certain_answers'
+            # default).
+            variables = (list(order) if order is not None
+                         else query.free_variables())
             return {"ok": True, "op": op, "result_ok": result.ok,
-                    "answers": answers,
-                    "variables": list(raw.variable_order),
+                    "answers": answers, "variables": variables,
                     "detail": result.detail, "elapsed": result.elapsed}
         raise ValueError(f"unknown operation {op!r}")
 

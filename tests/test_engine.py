@@ -1,5 +1,9 @@
 """The engine API: parity with the functional API, caching, batching, errors."""
 
+import asyncio
+import dataclasses
+import pickle
+
 import pytest
 
 from repro import (ChaseError, CompiledSetting, DataExchangeSetting,
@@ -132,7 +136,7 @@ class TestEngineParityQuickstart:
         result = library_engine.check_consistency()
         assert result.ok is legacy.consistent is True
         assert result.strategy == legacy.method == "nested-relational"
-        assert result.raw.consistent == legacy.consistent
+        assert result.payload is legacy.consistent
 
     def test_solve_parity(self, library_setting, library_engine, figure_1_source):
         legacy = canonical_solution(library_setting, figure_1_source)
@@ -240,12 +244,16 @@ class TestCacheReuse:
         factory = NullFactory(start=500)
         result = engine.certain_answers(figure_1_source, query,
                                         nulls=factory)
-        # The caller's factory really was consumed — a cache hit would have
-        # left it untouched and returned nulls from another namespace.
-        assert factory.fresh().ident > 500
+        # The caller's factory really was consumed, by exactly the nulls
+        # the canonical solution draws from a twin — a cache hit would have
+        # left it untouched.
+        twin = NullFactory(start=500)
+        assert canonical_solution(library_setting, figure_1_source, twin,
+                                  compiled=engine.compiled).success
+        drawn = twin.fresh().ident - 500
+        assert drawn > 0
+        assert factory.fresh().ident == 500 + drawn
         assert result.cache["result_cache_hits"] == 0
-        assert {n.ident for n in result.raw.canonical.nulls()} == \
-            set(range(500, 500 + len(result.raw.canonical.nulls())))
 
     def test_second_call_hits_the_result_cache(self, library_setting,
                                                figure_1_source):
@@ -395,7 +403,8 @@ class TestEngineResultProtocol:
             assert result.elapsed >= 0.0
             assert isinstance(result.strategy, str) and result.strategy
             assert isinstance(result.cache, dict)
-            assert result.raw is not None
+        # A result carries the answer, not the pipeline's objects.
+        assert "raw" not in {f.name for f in dataclasses.fields(EngineResult)}
 
     def test_classify_payload_is_dichotomy_report(self, library_engine,
                                                   library_setting):
@@ -411,6 +420,61 @@ class TestEngineResultProtocol:
         assert isinstance(engine.compiled, CompiledSetting)
         with pytest.raises(TypeError):
             ExchangeEngine("not a setting")
+
+
+#: The functional API's pipeline objects, which no engine result carries.
+PIPELINE_CLASSES = (b"CertainAnswers", b"ChaseResult", b"ChaseStep",
+                    b"ConsistencyResult")
+WRITER_QUERY = library.query_writer_of("Computational Complexity")
+
+
+class TestResultsCarryAnswersOnly:
+    """A result pickles (as a host reply does) and is cached without the
+    canonical tree, the chase log or the consistency witness."""
+
+    #: Each engine operation, with the class names its pickle must not
+    #: hold (a solve's payload is itself a tree).
+    OPERATIONS = {
+        "certain_answers": (lambda engine, tree: engine.certain_answers(
+            tree, WRITER_QUERY), PIPELINE_CLASSES + (b"XMLTree",)),
+        "check_consistency": (lambda engine, tree: engine.check_consistency(),
+                              PIPELINE_CLASSES + (b"XMLTree",)),
+        "classify": (lambda engine, tree: engine.classify(), PIPELINE_CLASSES),
+        "solve": (lambda engine, tree: engine.solve(tree), PIPELINE_CLASSES),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPERATIONS))
+    def test_pickle_holds_no_pipeline_object(self, name, library_setting,
+                                             figure_1_source):
+        run, forbidden = self.OPERATIONS[name]
+        result = run(ExchangeEngine(library_setting), figure_1_source)
+        assert result.ok
+        pickled = pickle.dumps(result)
+        assert [n for n in forbidden if n in pickled] == []
+
+    def test_result_cache_holds_answer_sets(self, library_setting,
+                                            figure_1_source):
+        engine = ExchangeEngine(library_setting)
+        result = engine.certain_answers(figure_1_source, WRITER_QUERY)
+        assert list(engine._results.values()) == [result.payload]
+
+    def test_host_reply_holds_no_pipeline_object(self, library_setting,
+                                                 figure_1_source):
+        from repro.service import AsyncExchangeService
+
+        async def run():
+            async with AsyncExchangeService(executor="host",
+                                            workers=1) as service:
+                fingerprint = service.register(library_setting)
+                return await service.certain_answers(
+                    fingerprint, figure_1_source, WRITER_QUERY)
+
+        result = asyncio.run(run())
+        assert result.payload == ExchangeEngine(library_setting).certain_answers(
+            figure_1_source, WRITER_QUERY).payload
+        pickled = pickle.dumps(result)
+        forbidden = self.OPERATIONS["certain_answers"][1]
+        assert [n for n in forbidden if n in pickled] == []
 
 
 class TestErrorHierarchy:

@@ -110,7 +110,8 @@ class TestResultObjects:
         assert clone.ok == result.ok
         assert clone.payload == result.payload
         assert clone.strategy == result.strategy
-        assert clone.raw.answers == result.raw.answers
+        assert clone.detail == result.detail
+        assert clone.cache == result.cache
 
     def test_company_setting_roundtrips_too(self):
         compiled = compile_setting(nested_relational.company_setting())

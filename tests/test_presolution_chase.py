@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.engine.compiled import compile_setting
 from repro.exchange import (DataExchangeSetting, canonical_pre_solution,
                             canonical_solution, chase, pattern_to_tree, std)
 from repro.exchange.presolution import PreSolutionError
 from repro.patterns import parse_pattern
 from repro.xmlmodel import DTD, XMLTree
-from repro.xmlmodel.values import is_null
+from repro.xmlmodel.values import Null, NullFactory, is_null
 
 
 class TestPatternToTree:
@@ -29,6 +30,11 @@ class TestPatternToTree:
             pattern_to_tree(parse_pattern("r[//a]"), {})
         with pytest.raises(PreSolutionError):
             pattern_to_tree(parse_pattern("r[_]"), {})
+
+    def test_two_values_for_one_attribute_conflict(self):
+        with pytest.raises(PreSolutionError,
+                           match="conflicting values for @x"):
+            pattern_to_tree(parse_pattern('r[A(@x=u, @x="5")]'), {"u": "4"})
 
 
 class TestExample63:
@@ -57,6 +63,60 @@ class TestExample63:
         grandchildren = sorted(label for b in b_nodes
                                for label in cps.children_labels(b))
         assert grandchildren == ["C", "C", "D"]
+
+    def test_cps_is_the_one_tree_built(self, monkeypatch):
+        """Each STD instance is written straight into cps: no instance
+        tree is built and nothing is grafted."""
+        compiled = compile_setting(self.setting)
+        built, grafts = [], []
+        init, graft = XMLTree.__init__, XMLTree.graft_subtree
+
+        def counting_init(tree, *args, **kwargs):
+            built.append(tree)
+            init(tree, *args, **kwargs)
+
+        def counting_graft(tree, *args, **kwargs):
+            grafts.append(tree)
+            return graft(tree, *args, **kwargs)
+
+        monkeypatch.setattr(XMLTree, "__init__", counting_init)
+        monkeypatch.setattr(XMLTree, "graft_subtree", counting_graft)
+        cps = canonical_pre_solution(self.setting, self.source,
+                                     compiled=compiled)
+        assert len(built) == 1 and built[0] is cps
+        assert grafts == []
+
+
+class TestInstancesAtTheRoot:
+    """Two source matches of ``r(@k=z)[B(@m=x)] :- r[A(@c=x)]`` meet at
+    the cps root, which keeps the first match's value."""
+
+    def setup_method(self):
+        self.source_dtd = DTD("r", {"r": "A*"}, {"A": ["c"]})
+        self.target_dtd = DTD("r", {"r": "B*", "B": ""},
+                              {"r": ["k"], "B": ["m"]})
+        self.source = XMLTree.build(
+            ("r", [("A", {"c": "1"}), ("A", {"c": "2"})]))
+
+    def _setting(self, target):
+        return DataExchangeSetting(self.source_dtd, self.target_dtd,
+                                   [std(target, "r[A(@c=x)]")])
+
+    def test_root_keeps_its_value_and_each_match_draws_its_null(self):
+        factory = NullFactory()
+        cps = canonical_pre_solution(self._setting("r(@k=z)[B(@m=x)]"),
+                                     self.source, factory)
+        assert dict(cps.attributes(cps.root)) == {"k": Null(1)}
+        assert [cps.attribute(b, "m") for b in cps.children(cps.root)] == \
+            ["1", "2"]
+        # The second match drew ⊥2 for z although the root kept ⊥1.
+        assert factory.fresh() == Null(3)
+
+    @pytest.mark.parametrize("target", ['r[B(@m=x, @m="5")]',
+                                        'r(@k=x, @k="5")[B(@m=x)]'])
+    def test_two_values_in_one_pattern_node_conflict(self, target):
+        with pytest.raises(PreSolutionError, match="conflicting values"):
+            canonical_pre_solution(self._setting(target), self.source)
 
 
 class TestExample64Figure6:

@@ -20,10 +20,10 @@ from repro import (ChaseError, DataExchangeSetting, DTD, ExchangeEngine, Null,
 from repro.generators import generate_scenario
 from repro.service.client import ServiceClient
 from repro.service.protocol import (answers_to_wire, decode_line, encode_line,
-                                    frozen_from_wire, setting_from_wire,
-                                    setting_to_wire, tree_from_wire,
-                                    tree_to_wire, value_from_wire,
-                                    value_to_wire)
+                                    frozen_from_wire, query_from_wire,
+                                    setting_from_wire, setting_to_wire,
+                                    tree_from_wire, tree_to_wire,
+                                    value_from_wire, value_to_wire)
 from repro.workloads import library
 
 
@@ -199,6 +199,28 @@ class TestLiveServer:
                         assert reply["error"] == "ValueError", reply
                         assert exchange({"op": "ping"})["pong"] is True
 
+    def test_variables_name_the_answer_columns(self, live_server):
+        """The reply's ``variables`` is the request's ``variable_order``,
+        else the query's free variables — inline and by ``tree_fp``."""
+        host, port, _ = live_server
+        query = "bib[writer(@name=w)[work(@title=t)]]"
+        tree = library.generate_source(2, authors_per_book=2, seed=4)
+        with ServiceClient(host, port) as client:
+            fingerprint = client.register(library.library_setting())
+            tree_fp = client.put_tree(tree)
+            for source in ({"tree": tree_to_wire(tree)}, {"tree_fp": tree_fp}):
+                message = dict({"op": "certain_answers",
+                                "fingerprint": fingerprint,
+                                "query": query}, **source)
+                default = client.request(message)
+                assert default["variables"] == \
+                    query_from_wire(query).free_variables() == ["w", "t"]
+                ordered = client.request(
+                    dict(message, variable_order=["t", "w"]))
+                assert ordered["variables"] == ["t", "w"]
+                assert sorted(ordered["answers"]) == \
+                    sorted([t, w] for w, t in default["answers"])
+
     def test_full_conversation_and_clean_shutdown(self, live_server):
         host, port, process = live_server
         setting = library.library_setting()
@@ -359,38 +381,67 @@ class TestInProcessServer:
             idle.close()
 
 
+#: The server-module codec functions a big line of each op runs.
+_BIG_LINE_CODEC_STEPS = {
+    "register": ("decode_line", "setting_from_wire"),
+    "put_tree": ("decode_line", "frozen_from_wire"),
+    "solve": ("decode_line", "frozen_from_wire", "tree_to_wire"),
+    "certain_answers": ("decode_line", "query_from_wire", "frozen_from_wire",
+                        "answers_to_wire"),
+}
+
+
 def test_big_line_decodes_the_query_off_loop(monkeypatch):
     """Regression: a big ``certain_answers`` line offloaded its tree decode
-    and answer encode but parsed the *query* on the event loop — every
-    payload decode of a big line must run on the service pool."""
+    and answer encode but parsed the *query* on the event loop.  Every
+    codec step of a big line — the line decode, the tree, setting and
+    query decodes, and the rendering of a solution or an answer set —
+    must run on the service pool."""
     from repro.service import server as server_module
     from repro.service.server import ExchangeServer, serve_in_background
 
-    seen = []
-    real = server_module.query_from_wire
+    current = []  # the op whose big line is in flight
+    seen = {}
 
-    def recording(wire):
-        seen.append(threading.current_thread().name)
-        return real(wire)
+    def recording(name, real):
+        def record(*args, **kwargs):
+            if current:
+                seen.setdefault(current[0], []).append(
+                    (name, threading.current_thread().name))
+            return real(*args, **kwargs)
+        return record
 
-    monkeypatch.setattr(server_module, "query_from_wire", recording)
+    for name in {name for steps in _BIG_LINE_CODEC_STEPS.values()
+                 for name in steps}:
+        monkeypatch.setattr(server_module, name,
+                            recording(name, getattr(server_module, name)))
     port, server, join = serve_in_background(executor="thread", parallel=2)
     setting = library.library_setting()
-    tree = library.generate_source(2, authors_per_book=1, seed=3)
+    tree = tree_to_wire(library.generate_source(2, authors_per_book=1, seed=3))
+    # Padding pushes each line over OFFLOAD_CODEC_BYTES without needing a
+    # multi-megabyte tree; unknown keys are ignored by dispatch.
+    pad = "x" * (ExchangeServer.OFFLOAD_CODEC_BYTES + 1024)
     with ServiceClient("127.0.0.1", port) as client:
         fingerprint = client.register(setting)
-        # Padding pushes the line over OFFLOAD_CODEC_BYTES without needing
-        # a multi-megabyte tree; unknown keys are ignored by dispatch.
-        reply = client.request({
-            "op": "certain_answers", "fingerprint": fingerprint,
-            "tree": tree_to_wire(tree), "query": "bib[writer(@name=w)]",
-            "pad": "x" * (ExchangeServer.OFFLOAD_CODEC_BYTES + 1024)})
-        assert reply["ok"] and reply["result_ok"]
+        bodies = {
+            "register": {"setting": setting_to_wire(setting)},
+            "put_tree": {"tree": tree},
+            "solve": {"fingerprint": fingerprint, "tree": tree},
+            "certain_answers": {"fingerprint": fingerprint, "tree": tree,
+                                "query": "bib[writer(@name=w)]"},
+        }
+        for op, body in bodies.items():
+            current[:] = [op]
+            reply = client.request(dict(body, op=op, pad=pad))
+            current.clear()
+            assert reply["ok"], reply
         assert client.shutdown()
     join()
-    assert seen, "query_from_wire was never reached"
-    assert all(name.startswith("exchange-service") for name in seen), \
-        f"big-line query parse ran on thread(s) {seen!r}, not the pool"
+    for op, steps in _BIG_LINE_CODEC_STEPS.items():
+        assert sorted({name for name, _ in seen[op]}) == sorted(steps), op
+    threads = {thread for calls in seen.values() for _, thread in calls}
+    assert all(name.startswith("exchange-service") for name in threads), \
+        f"big-line codec steps ran on thread(s) {threads!r}, not the pool"
 
 
 def test_smoke_entry_point_passes():
