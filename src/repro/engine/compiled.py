@@ -7,11 +7,14 @@ lives here:
 * the per-element content-model machinery of **both** DTDs (regex→NFA,
   semilinear sets, the univocality analyses of Definition 6.9), forced into
   the DTD rule caches eagerly;
-* the structural verdicts: per-STD classification and the fully-specified
-  flag (Theorem 5.11 / Definition 5.10), nested-relational detection
+* the :func:`~repro.exchange.dichotomy.classify_setting` report
+  (``dichotomy``): per-STD classification, the fully-specified flag
+  (Theorem 5.11 / Definition 5.10) and the per-element univocality
+  verdicts, which together decide whether the canonical-solution pipeline
+  may answer (Theorem 6.2);
+* the other structural verdicts: nested-relational detection
   (Theorem 4.5), source-DTD satisfiability, the Section-4 distinct-variable
   proviso;
-* the :func:`~repro.exchange.dichotomy.classify_setting` routing decision;
 * reusable consistency machinery: the attribute-erased dependencies of
   Claim 4.2, the target-side goal search (whose memo table persists across
   requests), the ⪯-minimal source-skeleton enumeration, and the unique
@@ -84,14 +87,9 @@ class CompiledSetting:
 
         # --- routing decision and structural verdicts (compile phase 2) --- #
         # The dichotomy report is the single source of truth for the
-        # STD classification and the per-element univocality verdicts.
+        # STD classification and the per-element univocality verdicts;
+        # canonical_solution reads it to refuse targets outside C_U.
         self.dichotomy: DichotomyReport = classify_setting(setting)
-        self.std_classes: List[str] = list(self.dichotomy.std_classes)
-        self.fully_specified: bool = self.dichotomy.fully_specified
-        self.univocality: Dict[str, bool] = {
-            element: bool(info["univocal"])
-            for element, info in self.dichotomy.target_rules.items()}
-        self.target_univocal: bool = self.dichotomy.target_univocal
         self.source_nested_relational: bool = \
             setting.source_dtd.is_nested_relational()
         self.target_nested_relational: bool = \
@@ -239,9 +237,9 @@ class CompiledSetting:
         verdict = []
         if self.nested_relational:
             verdict.append("nested-relational")
-        if self.fully_specified:
+        if self.dichotomy.fully_specified:
             verdict.append("fully-specified")
-        if self.target_univocal:
+        if self.dichotomy.target_univocal:
             verdict.append("univocal-target")
         return (f"<CompiledSetting {self.setting!r} "
                 f"[{', '.join(verdict) or 'general'}]>")

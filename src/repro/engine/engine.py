@@ -54,8 +54,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence,
-                    Set, Tuple, Union)
+from typing import (TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional,
+                    Sequence, Tuple, Union)
 
 from ..exchange.certain_answers import certain_answers
 from ..exchange.chase import ChaseResult, canonical_solution
@@ -63,7 +63,7 @@ from ..exchange.consistency import ConsistencyResult, check_consistency
 from ..exchange.errors import NoSolutionError
 from ..exchange.setting import DataExchangeSetting
 from ..obs.trace import span as obs_span, timer as obs_timer
-from ..patterns.queries import Query
+from ..patterns.queries import Query, check_variable_order
 from ..xmlmodel.frozen import FrozenTree
 from ..xmlmodel.tree import XMLTree
 from ..xmlmodel.values import NullFactory, Value
@@ -79,8 +79,9 @@ __all__ = ["EngineResult", "ExchangeEngine"]
 #: store attached — its fingerprint.
 TreeRef = Union[XMLTree, FrozenTree, str]
 
-#: A ``certain_answers`` payload, and what a result-cache entry holds.
-Answers = Set[Tuple[Value, ...]]
+#: A ``certain_answers`` payload, and what a result-cache entry holds:
+#: frozen, so no caller can change what later requests are served.
+Answers = FrozenSet[Tuple[Value, ...]]
 
 #: Bound on the LRU of stored-document snapshots an engine with a store
 #: keeps.
@@ -110,9 +111,10 @@ class EngineResult:
         (those raise).
     ``payload``
         The operation's primary value: a ``bool`` for consistency, the
-        canonical-solution tree for ``solve``, the set of certain-answer
-        tuples for ``certain_answers``, the dichotomy report for
-        ``classify``.
+        canonical-solution tree for ``solve``, the ``frozenset`` of
+        certain-answer tuples for ``certain_answers`` (the result cache's
+        own entry, shared by every hit, hence immutable), the dichotomy
+        report for ``classify``.
     ``strategy``
         Which algorithm served the request (e.g. ``"nested-relational"``,
         ``"general"``, ``"chase"``).
@@ -331,7 +333,10 @@ class ExchangeEngine:
         ``source_tree`` is an inline tree or snapshot or — with a store
         attached — a document fingerprint.  ``ok`` is false — with the
         chase's failure reason in ``detail`` — when the source tree has no
-        solution (Lemma 6.15 b)."""
+        solution (Lemma 6.15 b).  Outside ``C_U`` neither holds, so a
+        target DTD that is not univocal raises
+        :class:`~repro.exchange.errors.ChaseError` (see
+        :func:`~repro.exchange.chase.canonical_solution`)."""
         with obs_timer("engine.solve") as clock:
             source_tree = self.resolve_tree(source_tree)
             outcome: ChaseResult = canonical_solution(
@@ -345,9 +350,14 @@ class ExchangeEngine:
         """``certain(Q, T)`` via the canonical solution (Theorem 6.2).
 
         ``source_tree`` is an inline tree or snapshot or — with a store
-        attached — a document fingerprint.  ``payload`` is the set of
-        all-constant answer tuples; ``ok`` is false when the source tree
-        has no solution.  Repeated requests for a fingerprint-identical
+        attached — a document fingerprint.  ``payload`` is the frozenset
+        of all-constant answer tuples; ``ok`` is false when the source tree
+        has no solution.  A setting outside ``C_U`` (a target DTD that is
+        not univocal) raises :class:`~repro.exchange.errors.ChaseError`,
+        and a ``variable_order`` the query does not admit raises
+        ``ValueError`` (:func:`~repro.patterns.queries.
+        check_variable_order`), before the result cache is consulted.
+        Repeated requests for a fingerprint-identical
         ``(tree, query, variable_order)`` triple are served from the result
         cache (observable only through the ``result_cache_*`` counters —
         payload, strategy and detail are identical to a fresh computation),
@@ -358,26 +368,26 @@ class ExchangeEngine:
         would silently ignore."""
         with obs_timer("engine.certain_answers") as clock:
             source_tree = self.resolve_tree(source_tree)
+            order = check_variable_order(query, variable_order)
             key = (None if nulls is not None
-                   else self._result_key(source_tree, query, variable_order))
+                   else self._result_key(source_tree, query, order))
             if key is not None:
                 with obs_span("engine.cache_lookup"):
                     hit, answers = self._cache_lookup(key)
                 if hit:
                     return self._certain_result(answers, clock)
             answers = certain_answers(
-                self.setting, source_tree, query, variable_order, nulls,
+                self.setting, source_tree, query, order, nulls,
                 compiled=self.compiled).answers
             if key is not None:
                 self._cache_store(key, answers)
             return self._certain_result(answers, clock)
 
     def _result_key(self, source_tree: FrozenTree, query: Query,
-                    variable_order: Optional[Sequence[str]]
+                    order: Optional[Tuple[str, ...]]
                     ) -> Optional[Tuple[str, str, Optional[Tuple[str, ...]]]]:
         if not self.result_cache_enabled:
             return None
-        order = tuple(variable_order) if variable_order is not None else None
         return (source_tree.fingerprint(), query.fingerprint(), order)
 
     def _cache_lookup(self, key: Tuple) -> Tuple[bool, Optional[Answers]]:

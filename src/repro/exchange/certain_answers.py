@@ -10,15 +10,17 @@ by evaluating ``Q`` over the *canonical solution* ``T*`` produced by the chase
 and keeping only all-constant tuples; this module implements exactly that
 pipeline.  When the chase fails there is no solution at all and the certain-
 answer set is undefined (``has_solution`` is ``False`` in the result).
+Settings outside that class are refused, not answered: the canonical
+solution neither exists nor characterises certain answers there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Optional, Sequence, Tuple
 
 from ..obs.trace import span as _span
-from ..patterns.queries import Query
+from ..patterns.queries import Query, check_variable_order
 from ..xmlmodel.tree import XMLTree
 from ..xmlmodel.values import NullFactory, Value, is_constant
 from .chase import ChaseResult, canonical_solution
@@ -38,11 +40,12 @@ class CertainAnswers:
 
     ``answers`` is ``None`` when no solution exists for the source tree (the
     intersection over an empty set of solutions is not meaningful); otherwise
-    it is the set of all-constant tuples, ordered by ``variable_order``.
+    it is the frozenset of all-constant tuples, ordered by
+    ``variable_order``.
     """
 
     has_solution: bool
-    answers: Optional[Set[Tuple[Value, ...]]]
+    answers: Optional[FrozenSet[Tuple[Value, ...]]]
     variable_order: Tuple[str, ...]
     canonical: Optional[XMLTree] = None
     chase: Optional[ChaseResult] = None
@@ -72,12 +75,13 @@ def certain_answers(setting: DataExchangeSetting, source_tree: XMLTree,
                     compiled: Optional["CompiledSetting"] = None) -> CertainAnswers:
     """Compute ``certain(Q, T)`` via the canonical solution (Theorem 6.2).
 
-    Preconditions (checked): the setting is fully specified.  The tractability
-    guarantee additionally requires a univocal target DTD
-    (``setting.target_dtd.is_univocal()``); outside that class the canonical
-    solution may not exist or may not characterise certain answers, matching
-    the paper's dichotomy — use :mod:`repro.exchange.naive` to cross-check on
-    small instances.
+    The setting must lie in ``C_U``; :func:`~repro.exchange.chase.
+    canonical_solution` enforces it, raising ``ChaseError`` for a target DTD
+    that is not univocal and a ``ValueError`` (``PreSolutionError``) for
+    STDs that are not fully specified.  Outside ``C_U``,
+    :func:`repro.exchange.naive.naive_certain_answers` answers small
+    instances exactly.  ``variable_order`` is checked against the query
+    (:func:`~repro.patterns.queries.check_variable_order`).
 
     The pipeline runs on ``compiled``, or on the setting compiled for this
     call (:func:`repro.engine.compiled.compiled_for`): its pre-lowered STD
@@ -87,11 +91,9 @@ def certain_answers(setting: DataExchangeSetting, source_tree: XMLTree,
     """
     from ..engine.compiled import compiled_for
     compiled = compiled_for(setting, compiled)
-    if not compiled.fully_specified:
-        raise ValueError(
-            "certain_answers via canonical solutions requires fully-specified "
-            "STDs (Definition 5.10); this setting is not fully specified")
-    order = tuple(variable_order) if variable_order is not None else tuple(query.free_variables())
+    order = check_variable_order(query, variable_order)
+    if order is None:
+        order = tuple(query.free_variables())
     result = canonical_solution(setting, source_tree, nulls, compiled=compiled)
     if not result.success:
         return CertainAnswers(False, None, order, None, result)
@@ -105,10 +107,9 @@ def certain_answers(setting: DataExchangeSetting, source_tree: XMLTree,
         # back costs.
         frozen = result.frozen
     with _span("engine.plan_run"):
-        answers = {
+        answers = frozenset(
             tup for tup in plan.answers(frozen, order, stats=compiled.stats)
-            if all(is_constant(value) for value in tup)
-        }
+            if all(is_constant(value) for value in tup))
     return CertainAnswers(True, answers, order, result.tree, result)
 
 

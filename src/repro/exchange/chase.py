@@ -9,20 +9,25 @@ repairs violations of the target DTD:
   forbids).
 * **ChangeReg** (hard violations): the children word ``w`` of a node is not in
   ``π(P(λ(v)))``.  The repair candidates are ``rep(w, P(λ(v)))``
-  (Section 6.1); if the set is empty the chase fails, otherwise a ⊑_w-maximal
-  repair ``w'`` is chosen:  missing element types are added as fresh childless
-  nodes and over-represented types are merged into a single node (failing on a
-  clash of constant attribute values).
+  (Section 6.1); if the set is empty the chase fails, otherwise the
+  ⊑_w-maximum ``w'`` of the set is applied: missing element types are added
+  as fresh childless nodes and over-represented types are merged into a
+  single node (failing on a clash of constant attribute values).
 
 For target DTDs whose content models are all *univocal* (class ``C_U``,
-Definition 6.9) the choice of ``w'`` is canonical (the ⊑_w-maximum exists and
-merged types shrink to exactly one node, Claim 6.17), every chase sequence is
-finite (Lemma 6.12) and terminal chase sequences characterise solution
-existence (Lemma 6.15):
+Definition 6.9) that maximum exists and merged types shrink to exactly one
+node (Claim 6.17), every chase sequence is finite (Lemma 6.12) and terminal
+chase sequences characterise solution existence (Lemma 6.15):
 
 * a *successful* chase yields the **canonical solution** ``T*`` — certain
   answers of CTQ//,∪ queries can be read off ``T*`` (Lemma 6.5);
 * a *failing* chase proves that the source tree has **no solution**.
+
+Outside ``C_U`` neither holds, so nothing guesses: :func:`canonical_solution`,
+which every request path goes through, refuses such a setting with
+:class:`~repro.exchange.errors.ChaseError`, and so does ChangeReg when
+``rep(w, r)`` has no ⊑_w-maximum.  :mod:`repro.exchange.naive` stays the
+exact method for small instances there.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..obs.trace import span as _span
 from ..regexlang.parikh import parikh_vector
-from ..regexlang.univocal import maxima_of, maximum_of
+from ..regexlang.univocal import maximum_of
 from ..xmlmodel.dtd import DTD
 from ..xmlmodel.tree import XMLTree
 from ..xmlmodel.values import NullFactory, Value, is_constant
@@ -113,11 +118,23 @@ def canonical_solution(setting: DataExchangeSetting, source_tree: XMLTree,
     """``cps(T)`` followed by the chase: the canonical solution of Section 6.1.
 
     Returns a failing :class:`ChaseResult` when no solution exists
-    (Lemma 6.15 b).  ``compiled`` is passed on to the pre-solution, which
-    checks it, or compiles the setting without one (see
-    :func:`~repro.exchange.presolution.canonical_pre_solution`).
+    (Lemma 6.15 b).  The setting must lie in ``C_U`` (Theorem 6.2): a
+    fully-specified setting whose target DTD is not univocal raises
+    :class:`ChaseError` before ``cps(T)`` is built, and one that is not fully
+    specified raises the pre-solution's ``PreSolutionError`` (a
+    ``ValueError``).  The verdict is read from ``compiled``'s dichotomy
+    report; without a handle the setting is compiled once, here (see
+    :func:`repro.engine.compiled.compiled_for`).
     """
+    from ..engine.compiled import compiled_for
+    compiled = compiled_for(setting, compiled)
     with _span("engine.chase"):
+        dichotomy = compiled.dichotomy
+        if dichotomy.fully_specified and not dichotomy.target_univocal:
+            raise ChaseError(
+                "the target DTD is not univocal, so the chase computes no "
+                "canonical solution (Theorem 6.2 covers C_U only): "
+                + dichotomy.summary())
         factory = nulls or NullFactory()
         pre_solution = canonical_pre_solution(setting, source_tree, factory,
                                               compiled=compiled)
@@ -167,6 +184,11 @@ def _change_att(dtd: DTD, tree: XMLTree, node: int, nulls: NullFactory,
 
 def _change_reg(dtd: DTD, tree: XMLTree, node: int, nulls: NullFactory,
                 steps: List[ChaseStep]) -> None:
+    """ChangeReg at ``node``: move its children word ``w`` to the
+    ⊑_w-maximum of ``rep(w, r)`` (Section 6.1).  An empty ``rep(w, r)``
+    fails the chase; a set without a maximum — possible only when ``r`` is
+    not univocal — raises :class:`ChaseError`, since no choice among its
+    maximal repairs is canonical."""
     label = tree.label(node)
     analysis = dtd.rule_analysis(label)
     word = parikh_vector(tree.children_labels(node))
@@ -179,10 +201,10 @@ def _change_reg(dtd: DTD, tree: XMLTree, node: int, nulls: NullFactory,
             f"to match π({dtd.content_model(label)})")
     target = maximum_of(repairs, word)
     if target is None:
-        # Outside C_U there may be several maximal repairs; pick one
-        # deterministically.  Query answering guarantees only hold inside C_U.
-        maxima = maxima_of(repairs, word)
-        target = sorted(maxima, key=lambda vec: sorted(vec.items()))[0]
+        raise ChaseError(
+            f"the repairs of a {label!r} node's children (counts {word}) "
+            f"have no ⊑_w-maximum: {label} → {dtd.content_model(label)} is "
+            "not univocal (Claim 6.17)")
     detail_parts: List[str] = []
     for symbol in sorted(set(word) | set(target) | dtd.content_model(label).alphabet()):
         have = word.get(symbol, 0)

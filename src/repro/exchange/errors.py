@@ -17,9 +17,10 @@ class ExchangeError(Exception):
 
 
 class ChaseError(ExchangeError, RuntimeError):
-    """Raised when the chase is applied outside its supported class (for
-    example a non-univocal merge with target multiplicity above one), *not*
-    when the chase legitimately fails — failures are reported in the result."""
+    """Raised when a canonical solution is asked for outside the chase's
+    class ``C_U`` — a target DTD that is not univocal (Theorem 6.2), or a
+    ChangeReg step with no canonical repair — *not* when the chase
+    legitimately fails: failures are reported in the result."""
 
 
 class NoSolutionError(ExchangeError, ValueError):

@@ -48,14 +48,17 @@ def enumerate_target_trees(dtd: DTD, value_pool: Sequence[Value],
 
     Children multiplicities are bounded by ``max_repeat`` per element type and
     every required attribute ranges over ``value_pool``.  Intended for very
-    small DTDs; the generator is lazy so callers can cap consumption.
+    small DTDs.  The generator is lazy, so callers can cap consumption: a
+    candidate is built when it is asked for, and only the variant lists of
+    the children a candidate combines are materialised — never the list of
+    every variant of the root.
     """
     if max_depth is None:
         max_depth = len(dtd.element_types) + 2
 
-    def subtree_variants(label: str, depth: int) -> List[XMLTree]:
+    def subtree_variants(label: str, depth: int) -> Iterator[XMLTree]:
         if depth > max_depth:
-            return []
+            return
         analysis = dtd.rule_analysis(label)
         alphabet = sorted(dtd.content_model(label).alphabet())
         # All children count vectors within the repetition bound that lie in π(P(label)).
@@ -68,12 +71,11 @@ def enumerate_target_trees(dtd: DTD, value_pool: Sequence[Value],
                 break
         attr_names = sorted(dtd.attributes_of(label))
         attr_choices = list(itertools.product(value_pool, repeat=len(attr_names))) or [()]
-        variants: List[XMLTree] = []
         for vector in vectors:
             child_variant_lists = []
             feasible = True
             for symbol in sorted(vector):
-                sub = subtree_variants(symbol, depth + 1)
+                sub = list(subtree_variants(symbol, depth + 1))
                 if not sub:
                     feasible = False
                     break
@@ -94,8 +96,7 @@ def enumerate_target_trees(dtd: DTD, value_pool: Sequence[Value],
                     for (symbol, _count, sub), indices in zip(child_variant_lists, combo):
                         for index in indices:
                             tree.graft_subtree(tree.root, sub[index])
-                    variants.append(tree)
-        return variants
+                    yield tree
 
     yield from subtree_variants(dtd.root, 0)
 

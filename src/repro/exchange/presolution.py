@@ -106,7 +106,7 @@ def canonical_pre_solution(setting: DataExchangeSetting, source_tree: XMLTree,
     factory = nulls or NullFactory()
     root_label = setting.target_dtd.root
     result = XMLTree(root_label, ordered=False)
-    if not compiled.fully_specified:
+    if not compiled.dichotomy.fully_specified:
         for dependency in setting.stds:
             if not dependency.is_fully_specified(root_label):
                 raise PreSolutionError(

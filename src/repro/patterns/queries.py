@@ -35,6 +35,7 @@ __all__ = [
     "Query", "PatternQuery", "ConjunctionQuery", "ExistsQuery", "UnionQuery",
     "pattern_query", "conjunction", "exists", "union_query",
     "evaluate_query", "classify_query", "boolean_query_holds",
+    "check_variable_order",
 ]
 
 
@@ -229,6 +230,33 @@ def union_query(*members: Query) -> Query:
     if len(members) == 1:
         return members[0]
     return UnionQuery(tuple(members))
+
+
+def check_variable_order(query: Query,
+                         variable_order: Optional[Sequence[str]]
+                         ) -> Optional[Tuple[str, ...]]:
+    """A caller's answer-tuple order as a tuple, checked against ``query``;
+    ``None`` (the free-variable order) stays ``None``.
+
+    Raises ``ValueError`` for a bare string (it would read as one variable
+    per character), an entry that is not a string, or a name outside
+    ``query.free_variables()``."""
+    if variable_order is None:
+        return None
+    if isinstance(variable_order, str):
+        raise ValueError(
+            f"variable_order is a sequence of variable names, not the "
+            f"string {variable_order!r:.40}")
+    order = tuple(variable_order)
+    free = query.free_variables()
+    for name in order:
+        if not isinstance(name, str):
+            raise ValueError(f"variable_order entries are variable names, "
+                             f"got {name!r:.40}")
+        if name not in free:
+            raise ValueError(f"variable_order names {name!r:.40}, which is "
+                             f"not a free variable of the query {free}")
+    return order
 
 
 def evaluate_query(query: Query, tree: XMLTree,

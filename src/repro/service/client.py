@@ -25,7 +25,9 @@ Also runnable as the end-to-end smoke check CI uses::
 
 which boots a server subprocess on a free port, round-trips a register +
 consistency + certain-answers + solve conversation (plus a pipelined batch),
-asks the server to shut down and asserts the process exits cleanly.
+checks that a setting outside C_U is refused with a typed ``ChaseError`` on a
+connection that keeps serving, asks the server to shut down and asserts the
+process exits cleanly.
 """
 
 from __future__ import annotations
@@ -292,9 +294,13 @@ class ServiceClient:
 # --------------------------------------------------------------------- #
 
 def run_smoke(executor: str = "thread", verbose: bool = True) -> int:
-    """Boot a server subprocess, round-trip the core conversation, assert a
-    clean shutdown.  Returns a process-style exit code."""
+    """Boot a server subprocess, round-trip the core conversation, check
+    the refusal outside C_U, assert a clean shutdown.  Returns a
+    process-style exit code."""
+    from ..exchange.errors import ChaseError
+    from ..exchange.std import std
     from ..workloads import library
+    from ..xmlmodel.dtd import DTD
 
     def say(text: str) -> None:
         if verbose:
@@ -338,6 +344,25 @@ def run_smoke(executor: str = "thread", verbose: bool = True) -> int:
             say("pipelined batch round-trip ok (3 replies demuxed by id)")
             stats = client.stats()
             assert stats["registry"]["settings_registered"] == 1
+            # Target r → a | b is not univocal: r[a] and r[b] are both
+            # solutions, so the chase has no canonical one to answer from.
+            either_fp = client.register(DataExchangeSetting(
+                DTD("r", {"r": "A*", "A": ""}, {"A": ["a"]}),
+                DTD("r", {"r": "a | b", "a": "", "b": ""}),
+                [std("r", "r")]))
+            either_tree = XMLTree.build(("r", [("A", {"a": "1"})]))
+            for refused in (
+                    lambda: client.certain_answers(either_fp, either_tree,
+                                                   "r[a]"),
+                    lambda: client.solve(either_fp, either_tree)):
+                try:
+                    refused()
+                except ChaseError as error:
+                    assert "not univocal" in str(error), error
+                else:
+                    raise AssertionError("a setting outside C_U was answered")
+            assert client.ping()
+            say("refusal outside C_U ok (typed ChaseError, connection alive)")
             assert client.shutdown()
         if process.wait(timeout=30) != 0:
             raise AssertionError(f"server exited with {process.returncode}")

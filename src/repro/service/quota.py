@@ -8,7 +8,7 @@ A :class:`QuotaPolicy` declares how much work the serving layer may *accept*
 saturated tenant observes a deterministic, retryable failure rather than
 unbounded latency — and can never starve its neighbours' slots.
 
-The three knobs:
+The two knobs:
 
 ``max_in_flight``
     Per-setting ceiling on requests admitted but not yet completed.  Counted
@@ -18,11 +18,10 @@ The three knobs:
 ``max_registered``
     Ceiling on distinct settings a registry will admit.  Re-registering an
     already-known fingerprint is always allowed (it is a no-op).
-``max_compiled``
-    Bound on concurrently compiled settings.  Enforced by the registry's
-    compiled-LRU (eviction, not rejection — eviction is a performance event,
-    never a correctness event); carrying it on the policy merely gives
-    deployments one admission-control object to configure.
+
+The bound on concurrently compiled settings is the registry's
+``max_compiled``: an LRU that evicts rather than rejects, since eviction is a
+performance event, never a correctness event.
 
 :class:`QuotaExceededError` travels over the JSON-lines wire by class name
 (see :mod:`repro.service.protocol`) and re-raises client-side as itself, so
@@ -65,10 +64,9 @@ class QuotaPolicy:
 
     max_in_flight: Optional[int] = None
     max_registered: Optional[int] = None
-    max_compiled: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("max_in_flight", "max_registered", "max_compiled"):
+        for name in ("max_in_flight", "max_registered"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be a positive integer or "

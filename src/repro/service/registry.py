@@ -84,12 +84,6 @@ class SettingRegistry:
                  store: Optional[Union[CorpusStore, str,
                                        "os.PathLike"]] = None,
                  store_read_only: bool = False) -> None:
-        if quota is not None and quota.max_compiled is not None:
-            if max_compiled is not None:
-                raise ValueError(
-                    "pass the compiled-settings bound either as "
-                    "max_compiled or on the QuotaPolicy, not both")
-            max_compiled = quota.max_compiled
         if max_compiled is not None and max_compiled < 1:
             raise ValueError(f"max_compiled must be a positive integer or "
                              f"None (unbounded), got {max_compiled!r}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 from ..engine import EngineResult
-from ..patterns.queries import Query
+from ..patterns.queries import Query, check_variable_order
 from ..xmlmodel.frozen import FrozenTree
 from ..xmlmodel.tree import XMLTree
 from .quota import QuotaExceededError
@@ -109,8 +109,10 @@ def certain_answers_request(fingerprint: str,
                             variable_order: Optional[Sequence[str]] = None
                             ) -> ExchangeRequest:
     """A certain-answers request for one ``(tree, query)`` pair; ``tree``
-    is the document or its stored fingerprint."""
-    order = tuple(variable_order) if variable_order is not None else None
+    is the document or its stored fingerprint.  ``variable_order`` is
+    checked against the query here, before the request is routed
+    (:func:`~repro.patterns.queries.check_variable_order`)."""
+    order = check_variable_order(query, variable_order)
     if isinstance(tree, str):
         return ExchangeRequest("certain_answers", fingerprint, tree_fp=tree,
                                query=query, variable_order=order)

@@ -379,7 +379,6 @@ class AsyncExchangeService:
             "quota": None if quota is None else {
                 "max_in_flight": quota.max_in_flight,
                 "max_registered": quota.max_registered,
-                "max_compiled": quota.max_compiled,
             },
             "registry": self.registry.stats(),
             "shards": self.registry.shard_stats(),

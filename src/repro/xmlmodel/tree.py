@@ -39,12 +39,20 @@ from types import MappingProxyType
 from typing import (TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
 
-from .values import Value, is_constant, is_null
+from .values import Null, Value, is_constant, is_null
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (frozen imports us)
     from .frozen import FrozenTree
 
 __all__ = ["XMLNode", "XMLTree"]
+
+
+def _check_value(name: str, value: object) -> None:
+    """Attribute values are drawn from Str (Section 3.2): a constant
+    (``str``) or a null; the wire codec draws the same line."""
+    if not isinstance(value, (str, Null)):
+        raise TypeError(f"attribute @{name} takes a string or a Null, got "
+                        f"{type(value).__name__} {value!r:.40}")
 
 
 class XMLNode:
@@ -145,8 +153,11 @@ class XMLTree:
 
         ``position`` inserts the child at a given index in the sibling order;
         by default the child is appended.
-        Returns the new node's id.
+        Returns the new node's id.  Attribute values are checked as by
+        :meth:`set_attribute`.
         """
+        for name, value in (attributes or {}).items():
+            _check_value(name, value)
         ident = self._new_node(label, parent=parent)
         if attributes:
             self._nodes[ident]._attributes.update(attributes)
@@ -159,7 +170,11 @@ class XMLTree:
         return ident
 
     def set_attribute(self, node: int, name: str, value: Value) -> None:
-        """Set attribute ``@name`` of ``node`` to ``value``."""
+        """Set attribute ``@name`` of ``node`` to ``value``: a constant
+        (``str``) or a :class:`~repro.xmlmodel.values.Null` — any other value
+        is a ``TypeError``, since it would silently drop out of every
+        certain answer."""
+        _check_value(name, value)
         self._nodes[node]._attributes[name] = value
         self._invalidate()
 

@@ -23,9 +23,20 @@ def library_engine(library_setting):
 
 @pytest.fixture
 def inconsistent_setting():
-    """The Section-4 example: the STD forces l2 below l1, the DTD forbids it."""
+    """The Section-4 example: the STD forces l2 below l1, the DTD forbids it.
+    Its target rule ``r → l1 | l2`` is not univocal."""
     source_dtd = DTD("rs", {"rs": ""})
     target_dtd = DTD("r", {"r": "l1 | l2", "l1": "", "l2": ""}, {"l2": ["a"]})
+    return DataExchangeSetting(source_dtd, target_dtd,
+                               [std("r[l1[l2(@a=x)]]", "rs")])
+
+
+@pytest.fixture
+def univocal_inconsistent_setting():
+    """The same STD against the univocal target ``r → l1``: in C_U, and
+    still without a solution."""
+    source_dtd = DTD("rs", {"rs": ""})
+    target_dtd = DTD("r", {"r": "l1", "l1": "", "l2": ""}, {"l2": ["a"]})
     return DataExchangeSetting(source_dtd, target_dtd,
                                [std("r[l1[l2(@a=x)]]", "rs")])
 
@@ -33,11 +44,13 @@ def inconsistent_setting():
 class TestCompiledSetting:
     def test_structural_verdicts_match_legacy_predicates(self, library_setting):
         compiled = compile_setting(library_setting)
-        assert compiled.fully_specified == library_setting.is_fully_specified()
+        verdict = compiled.dichotomy
+        assert verdict.fully_specified == library_setting.is_fully_specified()
         assert compiled.nested_relational
-        assert compiled.target_univocal == library_setting.target_dtd.is_univocal()
+        assert verdict.target_univocal == \
+            library_setting.target_dtd.is_univocal()
         assert compiled.source_satisfiable
-        assert compiled.std_classes == library_setting.std_classes()
+        assert verdict.std_classes == library_setting.std_classes()
 
     def test_compile_precompiles_every_content_model(self, library_setting):
         compiled = compile_setting(library_setting)
@@ -203,18 +216,25 @@ class TestEngineParityInconsistent:
         assert engine.check_consistency().ok is False
 
     def test_solve_and_certain_answers_report_no_solution(
-            self, inconsistent_setting):
-        engine = ExchangeEngine(inconsistent_setting)
+            self, inconsistent_setting, univocal_inconsistent_setting):
         source = XMLTree("rs", ordered=True)
-        legacy = certain_answers(inconsistent_setting, source,
-                                 library.query_writer_of("X"))
+        query = library.query_writer_of("X")
+        engine = ExchangeEngine(univocal_inconsistent_setting)
+        assert engine.classify().payload.tractable
+        assert engine.check_consistency().ok is False
+        legacy = certain_answers(univocal_inconsistent_setting, source, query)
         solved = engine.solve(source)
-        answered = engine.certain_answers(source,
-                                          library.query_writer_of("X"))
+        answered = engine.certain_answers(source, query)
         assert legacy.has_solution is solved.ok is answered.ok is False
         assert not solved and not answered
         with pytest.raises(NoSolutionError):
             answered.unwrap()
+        # Outside C_U a failing chase proves nothing: both are refused.
+        outside = ExchangeEngine(inconsistent_setting)
+        with pytest.raises(ChaseError, match="not univocal"):
+            outside.solve(source)
+        with pytest.raises(ChaseError, match="not univocal"):
+            outside.certain_answers(source, query)
 
 
 class TestCacheReuse:
@@ -269,6 +289,35 @@ class TestCacheReuse:
         assert second.cache["rule_cache_hits"] == first.cache["rule_cache_hits"]
         assert (second.ok, second.payload, second.strategy, second.detail) == \
             (first.ok, first.payload, first.strategy, first.detail)
+
+    def test_cached_answers_cannot_be_changed_by_a_caller(
+            self, library_setting, figure_1_source):
+        engine = ExchangeEngine(library_setting)
+        query = library.query_writer_of("Computational Complexity")
+        first = engine.certain_answers(figure_1_source, query)
+        assert isinstance(first.payload, frozenset)
+        with pytest.raises(AttributeError):
+            first.payload.add(("intruder",))
+        second = engine.certain_answers(figure_1_source, query)
+        assert second.cache["result_cache_hits"] == 1
+        assert isinstance(second.payload, frozenset)
+        assert second.payload == first.payload == {("Papadimitriou",)}
+
+    def test_variable_order_is_checked_before_the_cache(
+            self, library_setting, figure_1_source):
+        engine = ExchangeEngine(library_setting)
+        query = library.query_writer_of("Computational Complexity")
+        # A string would read as one variable per character.
+        with pytest.raises(ValueError, match="not the string"):
+            engine.certain_answers(figure_1_source, query, "w")
+        with pytest.raises(ValueError, match="not a free variable"):
+            engine.certain_answers(figure_1_source, query, ["nope"])
+        with pytest.raises(ValueError, match="not a free variable"):
+            certain_answers(library_setting, figure_1_source, query,
+                            ["nope"])
+        assert engine.stats["result_cache_misses"] == 0
+        assert engine.certain_answers(figure_1_source, query,
+                                      ["w"]).payload == {("Papadimitriou",)}
 
     def test_consistency_machinery_is_reused(self, inconsistent_setting):
         engine = ExchangeEngine(inconsistent_setting)
@@ -486,11 +535,15 @@ class TestErrorHierarchy:
         assert issubclass(ChaseError, RuntimeError)
         assert issubclass(ChaseError, ExchangeError)
 
-    def test_certain_answers_raise_dedicated_error(self, inconsistent_setting):
+    def test_certain_answers_raise_dedicated_error(
+            self, inconsistent_setting, univocal_inconsistent_setting):
         source = XMLTree("rs", ordered=True)
-        outcome = certain_answers(inconsistent_setting, source,
+        outcome = certain_answers(univocal_inconsistent_setting, source,
                                   library.query_writer_of("X"))
         with pytest.raises(NoSolutionError):
             outcome.certain()
         with pytest.raises(NoSolutionError):
             outcome.contains(("x",))
+        with pytest.raises(ChaseError, match="not univocal"):
+            certain_answers(inconsistent_setting, source,
+                            library.query_writer_of("X"))

@@ -6,8 +6,8 @@ Two failure families matter to callers:
   reported as a failed result (``has_solution`` / ``ok`` false) and raised
   only when the caller demands an answer anyway (``certain()``,
   ``contains()``, ``unwrap()``);
-* ``ChaseError`` — the chase applied outside its supported class (a
-  non-univocal merge with target multiplicity above one): always raised.
+* ``ChaseError`` — the chase asked for a canonical solution outside its
+  class ``C_U`` (a target DTD that is not univocal): always raised.
 
 Both must behave identically through the functional API, a warm engine, a
 result-cached engine (first *and* repeat calls — the cache must never mask
@@ -43,9 +43,8 @@ def clash_tree():
 
 @pytest.fixture()
 def non_univocal_setting():
-    """Target rule ``r → a a`` is non-univocal (c = 2): merging three
-    ``a``-children down to two is outside Figure 7's merge step and must
-    raise ``ChaseError``."""
+    """Target rule ``r → a a`` is non-univocal (c = 2), so the setting lies
+    outside C_U and ``canonical_solution`` must raise ``ChaseError``."""
     source = DTD("db", {"db": "rec*", "rec": ""}, {"rec": ["v"]})
     target = DTD("r", {"r": "a a", "a": ""}, {"a": ["v"]})
     dependency = std("r[a(@v=x)]", "db[rec(@v=x)]")

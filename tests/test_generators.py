@@ -166,7 +166,7 @@ class TestScenarios:
             assert scenario.profile in ("nested_relational", "general")
             compiled = compile_setting(scenario.setting)
             # The chase-based pipeline needs these two verdicts.
-            assert compiled.fully_specified
+            assert compiled.dichotomy.fully_specified
             assert scenario.setting.target_dtd.is_univocal()
 
     def test_source_trees_conform_and_queries_target(self):

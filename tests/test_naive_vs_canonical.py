@@ -72,6 +72,26 @@ def test_naive_detects_unsolvable_settings():
     assert not naive.has_solution
 
 
+def test_enumeration_builds_a_candidate_only_when_asked(monkeypatch):
+    """3,375 root variants (15 choices for each of a, b and c), but the
+    first candidate costs a few trees, not all of them."""
+    dtd = DTD("r", {"r": "a* b* c*", "a": "", "b": "", "c": ""},
+              {"a": ["x"], "b": ["x"], "c": ["x"]})
+    built = [0]
+    init = XMLTree.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(XMLTree, "__init__", counting_init)
+    candidates = enumerate_target_trees(dtd, ["1", "2", "3", "4"],
+                                        max_repeat=2)
+    next(candidates)
+    assert built[0] <= 5
+    assert 1 + sum(1 for _ in candidates) == 15 ** 3
+
+
 def test_naive_certain_answers_shrink_with_more_solutions(tiny_setting):
     """The intersection over more solutions can only lose tuples — sanity check
     of the certain-answer semantics itself."""

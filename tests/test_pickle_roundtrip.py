@@ -59,9 +59,7 @@ class TestCompiledSettingRoundtrip:
         compiled = compile_setting(setting)
         clone = pickle.loads(pickle.dumps(compiled))
         assert clone.nested_relational == compiled.nested_relational
-        assert clone.fully_specified == compiled.fully_specified
-        assert clone.univocality == compiled.univocality
-        assert clone.std_classes == compiled.std_classes
+        assert clone.dichotomy == compiled.dichotomy
         assert clone.setting.fingerprint() == setting.fingerprint()
 
     def test_unpickled_compiled_arrives_warm(self, setting):

@@ -1,7 +1,7 @@
 """Async error propagation through the serving layer.
 
 The contract (mirroring ``test_error_paths.py`` one layer up): an exception
-raised inside a shard — ``ChaseError`` from a non-univocal merge, a
+raised inside a shard — ``ChaseError`` for a non-univocal target, a
 precondition ``ValueError`` — surfaces **unchanged** from the ``await``-side
 single-request calls on every executor, while in a mixed batch it marks only
 the slot of the request that raised, leaving batch neighbours (on the same
@@ -19,15 +19,15 @@ from repro import (ChaseError, DataExchangeSetting, DTD, NoSolutionError,
 from repro.patterns.parse import parse_pattern
 from repro.patterns.queries import pattern_query
 from repro.service import (AsyncExchangeService, UnknownSettingError,
-                           certain_answers_request, consistency_request,
-                           solve_request)
+                           certain_answers_request, classify_request,
+                           consistency_request)
 from repro.workloads import library
 
 
 @pytest.fixture
 def non_univocal_setting():
-    """Target rule ``r → a a`` is non-univocal: merging three ``a``-children
-    down to two is outside the chase's class and raises ``ChaseError``."""
+    """Target rule ``r → a a`` is non-univocal: the setting lies outside
+    C_U, so every solve and certain-answers request raises ``ChaseError``."""
     source = DTD("db", {"db": "rec*", "rec": ""}, {"rec": ["v"]})
     target = DTD("r", {"r": "a a", "a": ""}, {"a": ["v"]})
     return DataExchangeSetting(source, target,
@@ -122,7 +122,6 @@ class TestMixedBatchIsolation:
         neighbours fully served."""
         ok_tree = library.generate_source(3, authors_per_book=2, seed=1)
         ok_query = library.query_writer_of("Book-0")
-        small = XMLTree.build(("db", [("rec", {"v": "1"})]))
 
         async def scenario():
             async with AsyncExchangeService(executor=executor,
@@ -132,7 +131,7 @@ class TestMixedBatchIsolation:
                 requests = [
                     certain_answers_request(lib_fp, ok_tree, ok_query),
                     certain_answers_request(bad_fp, three_records, R_QUERY),
-                    solve_request(bad_fp, small),      # same shard, fine
+                    classify_request(bad_fp),          # same shard, fine
                     consistency_request(bad_fp),       # same shard, fine
                     certain_answers_request(lib_fp, ok_tree, ok_query),
                 ]

@@ -346,20 +346,6 @@ class TestQuota:
         with pytest.raises(ValueError, match="not both"):
             AsyncExchangeService(registry=SettingRegistry(),
                                  quota=QuotaPolicy(max_in_flight=1))
-        with pytest.raises(ValueError, match="not both"):
-            SettingRegistry(max_compiled=2,
-                            quota=QuotaPolicy(max_compiled=2))
-
-    def test_quota_max_compiled_feeds_the_lru(self, library_setting,
-                                              company_setting,
-                                              figure_6_setting):
-        registry = SettingRegistry(quota=QuotaPolicy(max_compiled=2))
-        assert registry.max_compiled == 2
-        keys = [registry.register(s) for s in
-                (library_setting, company_setting, figure_6_setting)]
-        for key in keys:
-            registry.shard(key)
-        assert registry.stats()["compiled_evictions"] == 1
 
 
 class TestPrewarm:

@@ -366,6 +366,23 @@ class TestInProcessServer:
             assert client.shutdown()
         assert server.requests >= 8
 
+    def test_bad_variable_orders_get_typed_replies(self, server_thread):
+        port, _ = server_thread
+        setting = library.library_setting()
+        tree = library.generate_source(2, authors_per_book=1, seed=2)
+        with ServiceClient("127.0.0.1", port) as client:
+            fingerprint = client.register(setting)
+            message = {"op": "certain_answers", "fingerprint": fingerprint,
+                       "tree": tree_to_wire(tree),
+                       "query": "bib[writer(@name=w)[work(@title=t)]]"}
+            for order in ("wt", ["nope"], [1, 2]):
+                with pytest.raises(ValueError, match="variable_order"):
+                    client.request(dict(message, variable_order=order))
+                assert client.ping()
+            reply = client.request(dict(message, variable_order=["t", "w"]))
+            assert reply["variables"] == ["t", "w"]
+            assert client.shutdown()
+
     def test_shutdown_completes_with_idle_connections_open(self,
                                                            server_thread):
         """Regression: wait_closed() (3.12.1+) waits for connection

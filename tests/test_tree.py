@@ -6,6 +6,7 @@ import pytest
 
 from repro.workloads import library
 from repro.xmlmodel import XMLTree
+from repro.xmlmodel.frozen import FrozenTree
 from repro.xmlmodel.values import Null
 
 _AUTHOR = ("author", {"name": "A", "aff": "U"})
@@ -345,13 +346,39 @@ class _ReprImpostor:
         return 0
 
 
+class TestAttributeValues:
+    """Values are drawn from Str (Section 3.2): a string or a null."""
+
+    def test_other_values_raise_type_error(self):
+        tree = XMLTree("r")
+        with pytest.raises(TypeError, match="@a"):
+            tree.set_attribute(tree.root, "a", 7)
+        with pytest.raises(TypeError, match="@b"):
+            tree.add_child(tree.root, "c", {"b": 7})
+        assert len(tree) == 1  # the refused child was never added
+        with pytest.raises(TypeError):
+            XMLTree.build(("r", {"a": 7}))
+        with pytest.raises(TypeError):
+            XMLTree.build(("r", [("c", {"b": 7.5})]))
+
+    def test_strings_and_nulls_are_accepted(self):
+        tree = XMLTree.build(("r", {"a": "1"}, [("c", {"b": Null(2)})]))
+        assert tree.attribute(tree.root, "a") == "1"
+
+
 class TestTypeAwareValueIdentity:
     """Regression: dedup/fingerprint keys are type-aware — two distinct
     values with equal ``repr`` must never alias."""
 
     def test_digest_distinguishes_repr_collisions(self):
         genuine = XMLTree.build(("r", {"a": Null(1)}))
-        impostor = XMLTree.build(("r", {"a": _ReprImpostor()}))
+        # XMLTree refuses values outside Str, so the impostor's snapshot is
+        # built directly: the digest must stay type-aware all the same.
+        impostor = FrozenTree(
+            ordered=True, labels=(0,), label_names=("r",),
+            label_ids={"r": 0}, parents=(-1,), child_start=(0,),
+            child_end=(0,), attr_names=("a",), attr_ids={"a": 0},
+            attr_tables=({0: _ReprImpostor()},), orig_ids=(0,))
         assert repr(Null(1)) == repr(_ReprImpostor())
         assert not genuine.equals(impostor)
         assert not genuine.equals(impostor, respect_order=False)
