@@ -58,7 +58,8 @@ from . import generators, service
 from .engine import (CacheStats, CompiledSetting, EngineResult,
                      ExchangeEngine, compile_setting)
 from .exchange import (STD, CertainAnswers, ChaseError, ChaseResult,
-                       DataExchangeSetting, ExchangeError, NoSolutionError,
+                       ConsistencyUndecidedError, DataExchangeSetting,
+                       ExchangeError, NoSolutionError,
                        canonical_pre_solution, canonical_solution,
                        certain_answer_boolean, certain_answers, chase,
                        check_consistency, check_consistency_general,
@@ -96,6 +97,7 @@ __all__ = [
     "service", "AsyncExchangeService", "SettingRegistry",
     # errors
     "ExchangeError", "ChaseError", "NoSolutionError",
+    "ConsistencyUndecidedError",
     # exchange
     "STD", "std", "DataExchangeSetting",
     "canonical_pre_solution", "canonical_solution", "chase", "ChaseResult",

@@ -13,8 +13,7 @@ lives here:
   verdicts, which together decide whether the canonical-solution pipeline
   may answer (Theorem 6.2);
 * the other structural verdicts: nested-relational detection
-  (Theorem 4.5), source-DTD satisfiability, the Section-4 distinct-variable
-  proviso;
+  (Theorem 4.5) and source-DTD satisfiability;
 * reusable consistency machinery: the attribute-erased dependencies of
   Claim 4.2, the target-side goal search (whose memo table persists across
   requests), the ⪯-minimal source-skeleton enumeration, and the unique
@@ -97,8 +96,6 @@ class CompiledSetting:
         self.nested_relational: bool = (self.source_nested_relational
                                         and self.target_nested_relational)
         self.source_satisfiable: bool = setting.source_dtd.is_satisfiable()
-        self.distinct_source_variables: bool = \
-            setting.has_distinct_source_variables()
         self.erased_stds: List[Tuple[TreePattern, TreePattern]] = [
             (dep.source.erase_attributes(), dep.target.erase_attributes())
             for dep in setting.stds]
@@ -120,8 +117,7 @@ class CompiledSetting:
         # --- lazily memoised heavy machinery ------------------------------ #
         self._lock = threading.Lock()
         self._goal_search: Optional[_GoalSearch] = None
-        self._skeletons: Dict[Tuple[int, Optional[int]],
-                              Tuple[List[XMLTree], bool]] = {}
+        self._skeletons: Optional[Tuple[List[XMLTree], bool]] = None
         self._nr_skeletons: Optional[Tuple[XMLTree, XMLTree]] = None
 
         # Baselines so cache_stats reports movement *since compilation*:
@@ -143,6 +139,10 @@ class CompiledSetting:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.Lock()
+        if isinstance(self._skeletons, dict):
+            # Older versions memoised one enumeration per cap; the next
+            # general check re-enumerates under the one bound.
+            self._skeletons = None
 
     # ------------------------------------------------------------------ #
     # Derived machinery (memoised, instrumented)
@@ -179,22 +179,18 @@ class CompiledSetting:
                 self.stats.hit("goal_search")
             return self._goal_search
 
-    def source_skeletons(self, max_trees: int = 2000,
-                         max_depth: Optional[int] = None
-                         ) -> Tuple[List[XMLTree], bool]:
-        """The ⪯-minimal source skeletons (memoised per enumeration cap)."""
-        key = (max_trees, max_depth)
+    def source_skeletons(self) -> Tuple[List[XMLTree], bool]:
+        """The ⪯-minimal source skeletons and whether the enumeration was
+        complete (memoised; see
+        :func:`~repro.exchange.consistency.minimal_source_skeletons`)."""
         with self._lock:
-            cached = self._skeletons.get(key)
-            if cached is None:
+            if self._skeletons is None:
                 self.stats.miss("skeletons")
-                cached = minimal_source_skeletons(
-                    self.setting.source_dtd, max_trees=max_trees,
-                    max_depth=max_depth)
-                self._skeletons[key] = cached
+                self._skeletons = minimal_source_skeletons(
+                    self.setting.source_dtd)
             else:
                 self.stats.hit("skeletons")
-            return cached
+            return self._skeletons
 
     def nested_relational_skeletons(self) -> Tuple[XMLTree, XMLTree]:
         """The unique trees of ``D°_S`` and ``D*_T`` (Theorem 4.5)."""

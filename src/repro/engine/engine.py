@@ -106,9 +106,9 @@ class EngineResult:
 
     ``ok``
         Did the operation produce a defined payload?  ``False`` means "no
-        solution exists" for ``solve`` / ``certain_answers`` and
+        solution exists" for ``solve`` / ``certain_answers`` and a proven
         "inconsistent" for ``check_consistency`` — never an internal error
-        (those raise).
+        or an undecided check (those raise).
     ``payload``
         The operation's primary value: a ``bool`` for consistency, the
         canonical-solution tree for ``solve``, the ``frozenset`` of
@@ -301,15 +301,17 @@ class ExchangeEngine:
             return self._result(True, report, "dichotomy", clock,
                                 detail=report.summary())
 
-    def check_consistency(self, strategy: str = "auto",
-                          **kwargs: Any) -> EngineResult:
+    def check_consistency(self, strategy: str = "auto") -> EngineResult:
         """Decide consistency (Section 4) with automatic strategy routing.
 
         ``strategy`` is ``"auto"`` (nested-relational fast path when both
         DTDs qualify), ``"nested_relational"`` (Theorem 4.5) or
-        ``"general"`` (Theorem 4.1); extra keyword arguments reach the
-        general procedure (e.g. ``max_source_trees``)."""
-        normalised = strategy.replace("-", "_")
+        ``"general"`` (Theorem 4.1).  The verdict is a proven one: where
+        "inconsistent" cannot be proven (a cut skeleton search, or a source
+        pattern outside Section 4's distinct-variable proviso) the call
+        raises :class:`~repro.exchange.errors.ConsistencyUndecidedError`."""
+        normalised = (strategy.replace("-", "_")
+                      if isinstance(strategy, str) else None)
         if normalised not in CONSISTENCY_STRATEGIES:
             raise ValueError(
                 f"unknown consistency strategy {strategy!r}; "
@@ -317,7 +319,7 @@ class ExchangeEngine:
         with obs_timer("engine.consistency") as clock:
             outcome: ConsistencyResult = check_consistency(
                 self.setting, method=normalised.replace("_", "-"),
-                compiled=self.compiled, **kwargs)
+                compiled=self.compiled)
             return self._result(outcome.consistent, outcome.consistent,
                                 outcome.method, clock,
                                 detail=outcome.detail)

@@ -6,7 +6,8 @@ from .consistency import (ConsistencyResult, check_consistency,
                           check_consistency_general, minimal_source_skeletons,
                           pattern_satisfiable, target_satisfiable)
 from .dichotomy import DichotomyReport, classify_setting
-from .errors import ChaseError, ExchangeError, NoSolutionError
+from .errors import (ChaseError, ConsistencyUndecidedError, ExchangeError,
+                     NoSolutionError)
 from .naive import NaiveResult, enumerate_target_trees, naive_certain_answers
 from .nested_relational import (NestedRelationalConsistency,
                                 check_consistency_nested_relational)
@@ -21,6 +22,7 @@ __all__ = [
     "canonical_pre_solution", "pattern_to_tree", "PreSolutionError",
     "chase", "canonical_solution", "ChaseResult",
     "ExchangeError", "ChaseError", "NoSolutionError",
+    "ConsistencyUndecidedError",
     "certain_answers", "certain_answer_boolean", "CertainAnswers",
     "order_tree", "order_word", "OrderingError",
     "check_consistency", "check_consistency_general", "ConsistencyResult",

@@ -10,19 +10,26 @@ module implements
 * :func:`target_satisfiable` — the same for a *set* of patterns
   simultaneously,
 * :func:`check_consistency_general` — the general decision procedure: the
-  family of ⪯-minimal source trees is enumerated (complete for non-recursive
-  source DTDs, depth-bounded otherwise) and for each the set of fired source
-  patterns is tested for joint target satisfiability.  This is the same
-  decision problem as the automaton-product construction of Theorem 4.1,
-  expressed over pattern goals instead of explicit automata; it is exponential
-  in the worst case, as it must be.
+  family of ⪯-minimal source trees is enumerated (up to
+  :data:`MAX_SOURCE_SKELETONS` trees and a depth bound derived from the
+  source DTD) and for each the set of fired source patterns is tested for
+  joint target satisfiability.  This is the same decision problem as the
+  automaton-product construction of Theorem 4.1, expressed over pattern
+  goals instead of explicit automata; it is exponential in the worst case,
+  as it must be.
 * :func:`check_consistency` — a front door that dispatches to the polynomial
   Theorem 4.5 algorithm when both DTDs are nested-relational and to the
   general procedure otherwise.
 
 All pattern reasoning here is on the attribute-erased patterns ``ϕ°`` / ``ψ°``
-of Claim 4.2; the claim's equivalence needs the Section-4 proviso (distinct
-variables in source patterns), which the caller can ask to have verified.
+of Claim 4.2.  **A returned verdict is a proven verdict.**  "Consistent"
+comes with a witness skeleton whose fired targets are jointly satisfiable, a
+proof whether or not the enumeration was cut.  "Inconsistent" is a proof only
+when the enumeration was complete and every source pattern binds
+pairwise-distinct variables (Section 4's proviso, under which Claim 4.2 is
+exact); otherwise both procedures raise
+:class:`~repro.exchange.errors.ConsistencyUndecidedError` instead of
+answering.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from ..patterns.evaluate import pattern_holds
 from ..patterns.formula import (DescendantPattern, NodePattern, TreePattern)
 from ..xmlmodel.dtd import DTD
 from ..xmlmodel.tree import XMLTree
+from .errors import ConsistencyUndecidedError
 from .nested_relational import check_consistency_nested_relational
 from .setting import DataExchangeSetting
 
@@ -48,18 +56,21 @@ __all__ = [
     "pattern_satisfiable", "target_satisfiable", "minimal_source_skeletons",
 ]
 
+#: The general procedure examines at most this many ⪯-minimal source
+#: skeletons; a search cut here can still prove "consistent", never
+#: "inconsistent".
+MAX_SOURCE_SKELETONS = 2000
+
 
 @dataclass
 class ConsistencyResult:
-    """Outcome of a consistency check."""
+    """A proven consistency verdict (see the module text).
+
+    ``witness_source`` is the general procedure's witness skeleton, or the
+    nested-relational ``D°_S`` tree."""
 
     consistent: bool
     method: str
-    #: True when the procedure examined the complete space (always for
-    #: nested-relational settings and non-recursive source DTDs within the
-    #: enumeration cap); False when a bound was hit, in which case
-    #: ``consistent=False`` means "no witness found within the bound".
-    complete: bool = True
     witness_source: Optional[XMLTree] = None
     detail: str = ""
 
@@ -237,7 +248,7 @@ def pattern_satisfiable(dtd: DTD, pattern: TreePattern) -> bool:
 # Source-side enumeration of ⪯-minimal conforming skeletons
 # --------------------------------------------------------------------- #
 
-def minimal_source_skeletons(dtd: DTD, max_trees: int = 2000,
+def minimal_source_skeletons(dtd: DTD, max_trees: int = MAX_SOURCE_SKELETONS,
                              max_depth: Optional[int] = None
                              ) -> Tuple[List[XMLTree], bool]:
     """Enumerate the attribute-free trees conforming to ``D`` in which every
@@ -300,17 +311,38 @@ def minimal_source_skeletons(dtd: DTD, max_trees: int = 2000,
 # Consistency
 # --------------------------------------------------------------------- #
 
+def _refuse_unproven_inconsistency(setting: DataExchangeSetting,
+                                   complete: bool = True,
+                                   examined: int = 0) -> None:
+    """Called just before a procedure answers "inconsistent": raise
+    :class:`~repro.exchange.errors.ConsistencyUndecidedError` naming what
+    keeps that verdict from being a proof — an enumeration cut short after
+    ``examined`` skeletons, or a source pattern outside the proviso."""
+    if not complete:
+        raise ConsistencyUndecidedError(
+            f"consistency undecided: none of the {examined} minimal source "
+            f"skeleton(s) examined is a witness, but the enumeration stopped "
+            f"at its bound ({MAX_SOURCE_SKELETONS} trees, or the depth "
+            f"bound derived from the source DTD)")
+    if not setting.has_distinct_source_variables():
+        raise ConsistencyUndecidedError(
+            "consistency undecided: a source pattern repeats a variable or "
+            "fixes a constant, so the attribute-erased test of Claim 4.2 "
+            "cannot prove 'inconsistent' (Section 4 assumes pairwise-distinct "
+            "variables in source patterns)")
+
+
 def check_consistency_general(setting: DataExchangeSetting,
-                              max_source_trees: int = 2000,
-                              max_depth: Optional[int] = None,
                               compiled: Optional["CompiledSetting"] = None
                               ) -> ConsistencyResult:
     """General consistency check (the Theorem 4.1 decision problem).
 
     Enumerates ⪯-minimal source skeletons, fires the attribute-erased source
     patterns on each, and tests joint target satisfiability of the fired
-    targets.  Exact for non-recursive source DTDs within the caps; bounded
-    (sound for "consistent", best-effort for "inconsistent") otherwise.
+    targets.  The first skeleton whose fired targets are satisfiable proves
+    "consistent"; "inconsistent" also needs a complete enumeration and the
+    distinct-variable proviso, else
+    :class:`~repro.exchange.errors.ConsistencyUndecidedError` is raised.
 
     The procedure runs on the setting's :class:`repro.engine.CompiledSetting`
     (``compiled``, or one compiled for this call; see
@@ -321,49 +353,45 @@ def check_consistency_general(setting: DataExchangeSetting,
     from ..engine.compiled import compiled_for
     compiled = compiled_for(setting, compiled)
     if not compiled.source_satisfiable:
-        return ConsistencyResult(False, "general", True,
+        return ConsistencyResult(False, "general",
                                  detail="SAT(D_S) is empty")
-    skeletons, complete = compiled.source_skeletons(
-        max_trees=max_source_trees, max_depth=max_depth)
+    skeletons, complete = compiled.source_skeletons()
     search = compiled.goal_search()
     erased = compiled.erased_stds
     for skeleton in skeletons:
         fired = [target for source, target in erased
                  if pattern_holds(skeleton, source)]
         if search.satisfiable(fired):
-            return ConsistencyResult(True, "general", complete, skeleton,
+            return ConsistencyResult(True, "general", skeleton,
                                      detail=f"{len(fired)} STD(s) fired")
-    return ConsistencyResult(False, "general", complete,
+    _refuse_unproven_inconsistency(setting, complete, len(skeletons))
+    return ConsistencyResult(False, "general",
                              detail=f"examined {len(skeletons)} minimal source skeleton(s)")
 
 
 def check_consistency(setting: DataExchangeSetting,
                       method: str = "auto",
-                      require_distinct_variables: bool = False,
-                      compiled: Optional["CompiledSetting"] = None,
-                      **kwargs) -> ConsistencyResult:
+                      compiled: Optional["CompiledSetting"] = None
+                      ) -> ConsistencyResult:
     """Decide consistency of a data exchange setting.
 
     ``method`` is ``"auto"`` (nested-relational fast path when applicable),
     ``"nested-relational"`` (Theorem 4.5, O(n·m²)) or ``"general"``
     (Theorem 4.1 decision problem).  Both procedures run on one
     :class:`repro.engine.CompiledSetting`: ``compiled``, or one compiled for
-    this call (see :func:`repro.engine.compiled.compiled_for`).
+    this call (see :func:`repro.engine.compiled.compiled_for`).  Both return
+    only proven verdicts (see the module text).
     """
     from ..engine.compiled import compiled_for
     compiled = compiled_for(setting, compiled)
-    if require_distinct_variables and not compiled.distinct_source_variables:
-        raise ValueError(
-            "a source pattern repeats a variable; Section 4 assumes "
-            "pairwise-distinct variables in source patterns")
     if method == "nested-relational" or (method == "auto"
                                          and compiled.nested_relational):
-        outcome = check_consistency_nested_relational(
-            setting, require_distinct_variables=False, compiled=compiled)
-        return ConsistencyResult(outcome.consistent, "nested-relational", True,
+        outcome = check_consistency_nested_relational(setting,
+                                                      compiled=compiled)
+        return ConsistencyResult(outcome.consistent, "nested-relational",
                                  outcome.source_skeleton,
                                  detail=f"{len(outcome.culprits)} culprit STD(s)"
                                  if not outcome.consistent else "")
     if method not in {"auto", "general"}:
         raise ValueError(f"unknown consistency method {method!r}")
-    return check_consistency_general(setting, compiled=compiled, **kwargs)
+    return check_consistency_general(setting, compiled=compiled)

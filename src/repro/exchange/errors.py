@@ -9,7 +9,8 @@ clauses keep working.
 
 from __future__ import annotations
 
-__all__ = ["ExchangeError", "ChaseError", "NoSolutionError"]
+__all__ = ["ExchangeError", "ChaseError", "NoSolutionError",
+           "ConsistencyUndecidedError"]
 
 
 class ExchangeError(Exception):
@@ -27,3 +28,12 @@ class NoSolutionError(ExchangeError, ValueError):
     """Raised when certain answers are requested for a source tree that has
     no solution: the intersection over an empty set of solutions is undefined,
     so consistency should be checked first (Lemma 6.15 b)."""
+
+
+class ConsistencyUndecidedError(ExchangeError, RuntimeError):
+    """Raised when a consistency check cannot prove "inconsistent" (Section
+    4): the ⪯-minimal source-skeleton enumeration stopped at its tree or
+    depth bound, or a source pattern repeats a variable or fixes a
+    constant, outside the proviso under which Claim 4.2's attribute-erased
+    test is exact.  A "consistent" verdict is never refused: its witness
+    is a proof."""

@@ -7,13 +7,18 @@ handled by Clio.
 
 The paper's algorithm:
 
-1. drop attributes from all STD patterns (Claim 4.2; requires the Section-4
-   proviso that source patterns use pairwise-distinct variables),
+1. drop attributes from all STD patterns (Claim 4.2; exact under the
+   Section-4 proviso that source patterns use pairwise-distinct variables),
 2. build the DTDs ``D°_S`` (keep required children only) and ``D*_T`` (make
    every child required exactly once); each admits exactly one tree,
 3. the setting is consistent iff no STD has its source pattern true in the
    unique ``D°_S``-tree while its target pattern is false in the unique
    ``D*_T``-tree (Claim 4.6).
+
+Under the proviso the test is exact.  Outside it a culprit does not prove
+"inconsistent" (the erased source pattern fires where the real one need
+not), so a check that finds culprits there raises
+:class:`~repro.exchange.errors.ConsistencyUndecidedError`.
 """
 
 from __future__ import annotations
@@ -48,14 +53,14 @@ class NestedRelationalConsistency:
 
 def check_consistency_nested_relational(
         setting: DataExchangeSetting,
-        require_distinct_variables: bool = True,
         compiled: Optional["CompiledSetting"] = None) -> NestedRelationalConsistency:
     """Decide consistency of a nested-relational setting (Theorem 4.5).
 
-    Raises ``ValueError`` when either DTD is not nested-relational, or when
-    ``require_distinct_variables`` is set and some source pattern repeats a
-    variable (the reduction of Claim 4.2 is only valid under the
-    distinct-variable proviso of Section 4).
+    Raises ``ValueError`` when either DTD is not nested-relational, and
+    :class:`~repro.exchange.errors.ConsistencyUndecidedError` when it finds
+    culprits while some source pattern repeats a variable or fixes a
+    constant (Claim 4.2 is exact only under the distinct-variable proviso
+    of Section 4).
 
     The check runs on the setting's :class:`repro.engine.CompiledSetting`
     (``compiled``, or one compiled for this call; see
@@ -69,10 +74,6 @@ def check_consistency_nested_relational(
         raise ValueError("the source DTD is not nested-relational")
     if not compiled.target_nested_relational:
         raise ValueError("the target DTD is not nested-relational")
-    if require_distinct_variables and not compiled.distinct_source_variables:
-        raise ValueError(
-            "a source pattern repeats a variable; the Section 4 consistency "
-            "analysis assumes pairwise-distinct variables in source patterns")
     source_skeleton, target_skeleton = compiled.nested_relational_skeletons()
 
     culprits: List[STD] = []
@@ -81,6 +82,10 @@ def check_consistency_nested_relational(
         if (pattern_holds(source_skeleton, source_pattern)
                 and not pattern_holds(target_skeleton, target_pattern)):
             culprits.append(dependency)
+    if culprits:
+        # Imported here: repro.exchange.consistency imports this module.
+        from .consistency import _refuse_unproven_inconsistency
+        _refuse_unproven_inconsistency(setting)
     return NestedRelationalConsistency(
         consistent=not culprits,
         culprits=culprits,

@@ -65,8 +65,8 @@ class DataExchangeSetting:
         return [classify_std(dep, self.target_dtd.root) for dep in self.stds]
 
     def has_distinct_source_variables(self) -> bool:
-        """The consistency-section proviso (Section 4): distinct variables in
-        every source pattern."""
+        """The consistency-section proviso (Section 4): every source pattern
+        binds pairwise-distinct variables, and no constants."""
         return all(dep.has_distinct_source_variables() for dep in self.stds)
 
     def size(self) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..patterns.evaluate import assignment_key, match_anywhere, pattern_holds
-from ..patterns.formula import NodePattern, TreePattern
+from ..patterns.formula import NodePattern, TreePattern, Variable
 from ..patterns.parse import parse_pattern
 from ..xmlmodel.tree import XMLTree
 
@@ -58,13 +58,16 @@ class STD:
         return [name for name in self.target_variables() if name not in source_vars]
 
     def has_distinct_source_variables(self) -> bool:
-        """The Section 4 proviso: every variable occurs at most once in ϕ_S."""
+        """The Section 4 proviso: every attribute comparison in ϕ_S binds a
+        variable, and no variable occurs twice (a constant is not a
+        variable)."""
         names: List[str] = []
         for pattern in self.source.subpatterns():
             if isinstance(pattern, NodePattern):
                 for _, term in pattern.attribute.assignments:
-                    if hasattr(term, "name"):
-                        names.append(term.name)
+                    if not isinstance(term, Variable):
+                        return False
+                    names.append(term.name)
         return len(names) == len(set(names))
 
     # ------------------------------------------------------------------ #

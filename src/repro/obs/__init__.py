@@ -6,7 +6,7 @@ Two instruments, one rule — *pay for what you use*:
   ``span_id`` / parent, monotonic ``perf_counter`` timing) carried through
   async code by a ``contextvar``, across executor threads by
   ``current_context()`` / ``activate()``, and across the shard-host process
-  boundary inside the length-prefixed pickle frames, so one request
+  boundary inside the pickle frames of its pipes, so one request
   reconstructs as one tree no matter how many processes served it.
   Disabled (the default), ``span()`` hands out a shared no-op and costs one
   boolean check; ``timer()`` always times (it feeds

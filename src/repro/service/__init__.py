@@ -18,7 +18,7 @@ lifetime:
   ``executor="host"``:
   one long-lived worker process per core, each owning a full registry
   slice (compiled settings, plan caches, result caches stay warm across
-  requests), routed by fingerprint over length-prefixed pickle frames,
+  requests), routed by fingerprint over pickle frames on one pipe each,
   with crashed workers restarted and re-registered transparently;
 * :class:`QuotaPolicy` — admission control: per-setting ``max_in_flight``
   and registry-wide ``max_registered`` ceilings; over-quota work is

@@ -25,9 +25,10 @@ Also runnable as the end-to-end smoke check CI uses::
 
 which boots a server subprocess on a free port, round-trips a register +
 consistency + certain-answers + solve conversation (plus a pipelined batch),
-checks that a setting outside C_U is refused with a typed ``ChaseError`` on a
-connection that keeps serving, asks the server to shut down and asserts the
-process exits cleanly.
+checks that a setting outside C_U is refused with a typed ``ChaseError`` and
+an unprovable "inconsistent" with a typed ``ConsistencyUndecidedError``, on
+a connection that keeps serving, asks the server to shut down and asserts
+the process exits cleanly.
 """
 
 from __future__ import annotations
@@ -224,6 +225,8 @@ class ServiceClient:
 
     def check_consistency(self, fingerprint: str,
                           strategy: str = "auto") -> bool:
+        """The setting's proven consistency verdict; a check that cannot
+        prove "inconsistent" raises ``ConsistencyUndecidedError``."""
         reply = self.request({"op": "consistency", "fingerprint": fingerprint,
                               "strategy": strategy})
         return bool(reply["consistent"])
@@ -262,7 +265,11 @@ class ServiceClient:
             {"op": "certain_answers", "fingerprint": fingerprint,
              "query": query_pattern}, **self._source_field(tree))
         if variable_order is not None:
-            message["variable_order"] = list(variable_order)
+            # A str travels as is, for the server to refuse: list("wt")
+            # would split it into the variables "w" and "t".
+            message["variable_order"] = (
+                variable_order if isinstance(variable_order, str)
+                else list(variable_order))
         reply = self.request(message)
         if reply["answers"] is None:
             return None
@@ -295,9 +302,9 @@ class ServiceClient:
 
 def run_smoke(executor: str = "thread", verbose: bool = True) -> int:
     """Boot a server subprocess, round-trip the core conversation, check
-    the refusal outside C_U, assert a clean shutdown.  Returns a
-    process-style exit code."""
-    from ..exchange.errors import ChaseError
+    the refusals outside C_U and of an unproven "inconsistent", assert a
+    clean shutdown.  Returns a process-style exit code."""
+    from ..exchange.errors import ChaseError, ConsistencyUndecidedError
     from ..exchange.std import std
     from ..workloads import library
     from ..xmlmodel.dtd import DTD
@@ -363,6 +370,22 @@ def run_smoke(executor: str = "thread", verbose: bool = True) -> int:
                     raise AssertionError("a setting outside C_U was answered")
             assert client.ping()
             say("refusal outside C_U ok (typed ChaseError, connection alive)")
+            # The STD fires only where @x = @y, outside Section 4's
+            # distinct-variable proviso: the attribute-erased test would
+            # say "inconsistent", yet r[A(@x=1, @y=2)] has the solution r.
+            repeated_fp = client.register(DataExchangeSetting(
+                DTD("r", {"r": "A", "A": ""}, {"A": ["x", "y"]}),
+                DTD("r", {"r": "", "b": ""}),
+                [std("r[b]", "r[A(@x=v, @y=v)]")]))
+            try:
+                client.check_consistency(repeated_fp)
+            except ConsistencyUndecidedError:
+                pass
+            else:
+                raise AssertionError("an unproven 'inconsistent' was answered")
+            assert client.ping()
+            say("undecided consistency refused ok (typed "
+                "ConsistencyUndecidedError, connection alive)")
             assert client.shutdown()
         if process.wait(timeout=30) != 0:
             raise AssertionError(f"server exited with {process.returncode}")

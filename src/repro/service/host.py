@@ -16,15 +16,14 @@ same worker and the shared-nothing caches it warmed.  ``register`` and
 every worker and aggregates.
 
 Transport is stdlib only: one duplex :func:`multiprocessing.Pipe` per
-worker carrying **length-prefixed pickle frames** (an 8-byte big-endian
-payload length followed by the pickle bytes).  The prefix is verified on
-receipt, so a frame truncated by a dying worker surfaces as a typed
-:class:`FrameError` instead of a half-deserialized object.  Frames are
-``(request_id, op, payload, span_context)`` tuples and replies
-``(request_id, ok, outcome, spans)`` tuples — one shape each, control
-frames included; each worker serves its pipe serially (shared-nothing, one
-process per core) while the supervisor demultiplexes replies to concurrent
-callers by ``request_id``.
+worker carrying **pickle frames**, one message each.  The pipe already
+length-prefixes every message, and a message cut short by a dying peer
+raises ``OSError`` on receipt, which the reader treats as the worker's
+exit.  Frames are ``(request_id, op, payload, span_context)`` tuples and
+replies ``(request_id, ok, outcome, spans)`` tuples — one shape each,
+control frames included; each worker serves its pipe serially
+(shared-nothing, one process per core) while the supervisor demultiplexes
+replies to concurrent callers by ``request_id``.
 
 **Crash containment**: a worker that segfaults, gets OOM-killed or is
 fault-injected (:meth:`inject_crash`) is detected by its reader thread
@@ -44,7 +43,6 @@ import multiprocessing
 import os
 import pickle
 import signal
-import struct
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -59,7 +57,7 @@ from ..storage import CorpusStore, StoreError
 from .registry import SettingRegistry, UnknownSettingError
 from .requests import ExchangeRequest, ServiceResult
 
-__all__ = ["ShardHost", "WorkerCrashError", "FrameError"]
+__all__ = ["ShardHost", "WorkerCrashError"]
 
 #: Seconds a worker gets to finish its current request at close (and a
 #: crashed worker to be reaped) before it is terminated.
@@ -70,34 +68,13 @@ class WorkerCrashError(RuntimeError):
     """A request was lost to a crashing worker twice (original + retry)."""
 
 
-class FrameError(RuntimeError):
-    """A pipe frame failed its length-prefix integrity check."""
-
-
 # --------------------------------------------------------------------- #
-# Length-prefixed pickle frames
+# Pipe frames
 # --------------------------------------------------------------------- #
-
-_HEADER = struct.Struct("!Q")
-
 
 def _encode_frame(obj: Any) -> bytes:
-    """``obj`` as one frame: 8-byte big-endian payload length + pickle."""
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    return _HEADER.pack(len(payload)) + payload
-
-
-def _decode_frame(frame: bytes) -> Any:
-    """The object a frame carries; :class:`FrameError` on a bad prefix."""
-    if len(frame) < _HEADER.size:
-        raise FrameError(f"short frame: {len(frame)} byte(s), "
-                         f"no {_HEADER.size}-byte length prefix")
-    (length,) = _HEADER.unpack_from(frame)
-    if length != len(frame) - _HEADER.size:
-        raise FrameError(f"frame length prefix says {length} byte(s) but "
-                         f"{len(frame) - _HEADER.size} arrived (truncated "
-                         f"write from a dying peer?)")
-    return pickle.loads(frame[_HEADER.size:])
+    """``obj`` as one pipe message: its pickle (the one encode seam)."""
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 # --------------------------------------------------------------------- #
@@ -122,7 +99,7 @@ def _worker_main(conn, registry_config: Dict[str, Any]) -> None:
         except (EOFError, OSError):
             break  # supervisor gone: exit quietly
         try:
-            request_id, op, payload, context = _decode_frame(frame)
+            request_id, op, payload, context = pickle.loads(frame)
         except Exception:
             break  # unframeable garbage: the pipe is beyond recovery
         if op == "shutdown":
@@ -375,10 +352,10 @@ class ShardHost:
         """Per-worker reader: demux replies by id; restart on pipe EOF."""
         while True:
             try:
-                request_id, ok, outcome, spans = _decode_frame(
+                request_id, ok, outcome, spans = pickle.loads(
                     handle.conn.recv_bytes())
-            except (EOFError, OSError, FrameError, pickle.UnpicklingError,
-                    TypeError, ValueError):
+            except (EOFError, OSError, pickle.UnpicklingError, TypeError,
+                    ValueError):
                 break  # pipe closed or worker died mid-frame
             with handle.lock:
                 call = handle.pending.pop(request_id, None)

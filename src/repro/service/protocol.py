@@ -33,18 +33,24 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Set, Tuple,
+                    Union)
 
-from ..exchange.errors import ChaseError, ExchangeError, NoSolutionError
+from ..exchange.errors import (ChaseError, ConsistencyUndecidedError,
+                               ExchangeError, NoSolutionError)
+from ..exchange.presolution import PreSolutionError
 from ..exchange.setting import DataExchangeSetting
 from ..exchange.std import std
-from ..patterns.parse import parse_pattern
+from ..patterns.parse import PatternParseError, parse_pattern
 from ..patterns.queries import Query, pattern_query
+from ..regexlang.parikh import SemilinearSizeError
+from ..regexlang.parse import RegexParseError
 from ..xmlmodel.dtd import DTD
 from ..xmlmodel.frozen import FrozenTree
 from ..xmlmodel.tree import XMLTree
 from ..xmlmodel.values import Null, Value, is_null
-from ..storage import UnknownDocumentError
+from ..storage import StoreError, StoreReadOnlyError, UnknownDocumentError
+from .host import WorkerCrashError
 from .quota import QuotaExceededError
 from .registry import UnknownSettingError
 
@@ -63,7 +69,12 @@ def encode_line(message: Dict[str, Any]) -> bytes:
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:
-    message = json.loads(line.decode("utf-8"))
+    """One protocol message; ``ValueError`` unless the line is a UTF-8 JSON
+    object (a line nested past the decoder's recursion limit included)."""
+    try:
+        message = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError) as error:
+        raise ValueError(f"undecodable protocol line: {error}") from None
     if not isinstance(message, dict):
         raise ValueError("protocol messages must be JSON objects")
     return message
@@ -193,9 +204,25 @@ def dtd_to_wire(dtd: DTD) -> Dict[str, Any]:
     }
 
 
-def dtd_from_wire(wire: Dict[str, Any]) -> DTD:
-    return DTD(wire["root"], wire.get("rules", {}),
-               wire.get("attributes", {}))
+def dtd_from_wire(wire: Any) -> DTD:
+    """The DTD :func:`dtd_to_wire` rendered; ``ValueError`` for any other
+    shape (content models raise their own parse errors)."""
+    if isinstance(wire, dict):
+        root = wire.get("root")
+        rules = wire.get("rules", {})
+        attributes = wire.get("attributes", {})
+        if (isinstance(root, str)
+                and isinstance(rules, dict) and _strings(rules.values())
+                and isinstance(attributes, dict)
+                and all(isinstance(names, list) and _strings(names)
+                        for names in attributes.values())):
+            return DTD(root, rules, attributes)
+    raise ValueError('a DTD travels as {"root": str, "rules": {element: '
+                     'content-model}, "attributes": {element: [attr]}}')
+
+
+def _strings(values: Iterable[Any]) -> bool:
+    return all(isinstance(value, str) for value in values)
 
 
 def setting_to_wire(setting: DataExchangeSetting) -> Dict[str, Any]:
@@ -213,11 +240,20 @@ def setting_to_wire(setting: DataExchangeSetting) -> Dict[str, Any]:
     }
 
 
-def setting_from_wire(wire: Dict[str, Any]) -> DataExchangeSetting:
-    dependencies = [std(item["target"], item["source"])
-                    for item in wire.get("stds", [])]
-    return DataExchangeSetting(dtd_from_wire(wire["source_dtd"]),
-                               dtd_from_wire(wire["target_dtd"]),
+def setting_from_wire(wire: Any) -> DataExchangeSetting:
+    """The setting :func:`setting_to_wire` rendered; ``ValueError`` for any
+    other shape (pattern texts raise their own parse errors)."""
+    stds = wire.get("stds", []) if isinstance(wire, dict) else None
+    if not (isinstance(stds, list)
+            and all(isinstance(item, dict)
+                    and _strings((item.get("target"), item.get("source")))
+                    for item in stds)):
+        raise ValueError('a setting travels as {"source_dtd": …, '
+                         '"target_dtd": …, "stds": [{"target": str, '
+                         '"source": str}]}')
+    dependencies = [std(item["target"], item["source"]) for item in stds]
+    return DataExchangeSetting(dtd_from_wire(wire.get("source_dtd")),
+                               dtd_from_wire(wire.get("target_dtd")),
                                dependencies)
 
 
@@ -275,17 +311,19 @@ def _rebuild_unknown_document(message: str) -> UnknownDocumentError:
 
 
 #: Error names the server may send, mapped back to the exception the direct
-#: engine (or registry) call would have raised.
+#: engine (or registry) call would have raised: the repository's own request
+#: errors, the builtins its precondition checks raise, and the
+#: ``RecursionError`` of a pattern or content model nested past the
+#: interpreter's recursion limit.
 _ERROR_TYPES: Dict[str, Callable[[str], BaseException]] = {
-    "ChaseError": ChaseError,
-    "NoSolutionError": NoSolutionError,
-    "ExchangeError": ExchangeError,
-    "QuotaExceededError": QuotaExceededError,
+    **{error.__name__: error for error in (
+        ExchangeError, ChaseError, ConsistencyUndecidedError,
+        NoSolutionError, QuotaExceededError, PreSolutionError,
+        PatternParseError, RegexParseError, SemilinearSizeError, StoreError,
+        StoreReadOnlyError, WorkerCrashError, ValueError, TypeError,
+        KeyError, RecursionError)},
     "UnknownSettingError": _rebuild_unknown_setting,
     "UnknownDocumentError": _rebuild_unknown_document,
-    "ValueError": ValueError,
-    "TypeError": TypeError,
-    "KeyError": KeyError,
 }
 
 

@@ -65,6 +65,9 @@ request ``op``       reply (all carry ``"ok"``; errors add ``error``/
                      ``certain_answers`` (an unknown one is a typed
                      ``UnknownDocumentError`` response)
 ``consistency``      ``{"consistent": bool, "strategy": …, "elapsed": …}``
+                     — a proven verdict; a check that cannot prove
+                     "inconsistent" is a ``ConsistencyUndecidedError``
+                     error reply
 ``classify``         ``{"tractable": bool, "detail": …}``
 ``solve``            ``{"result_ok": bool, "solution": tree|null, …}``
 ``certain_answers``  ``{"result_ok": bool, "answers": […]|null,``
@@ -83,10 +86,11 @@ into a ``FrozenTree`` (:func:`~repro.service.protocol.frozen_from_wire`),
 which ``put_tree`` stores and ``solve`` / ``certain_answers`` hand to the
 shard (or a host frame); no ``XMLTree`` is built for it.
 
-Engine failures (``ChaseError``, precondition ``ValueError``\\ s, unknown
-fingerprints, quota rejections) are *responses*, never connection drops:
-the error class name travels in ``error`` so clients can re-raise
-faithfully — see :func:`repro.service.protocol.error_to_wire`.
+Engine failures (``ChaseError``, ``ConsistencyUndecidedError``,
+precondition ``ValueError``\\ s, unknown fingerprints, quota rejections)
+and undecodable lines are *responses*, never connection drops: the error
+class name travels in ``error`` so clients can re-raise faithfully — see
+:func:`repro.service.protocol.error_to_wire`.
 """
 
 from __future__ import annotations

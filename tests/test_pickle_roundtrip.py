@@ -74,11 +74,11 @@ class TestCompiledSettingRoundtrip:
     def test_lazy_machinery_survives_and_lock_is_fresh(self, setting):
         compiled = compile_setting(setting)
         compiled.goal_search()
-        compiled.source_skeletons(max_trees=50)
+        compiled.source_skeletons()
         clone = pickle.loads(pickle.dumps(compiled))
         # Memoised machinery travelled: first use on the clone is a hit.
         clone.goal_search()
-        clone.source_skeletons(max_trees=50)
+        clone.source_skeletons()
         stats = clone.cache_stats()
         assert stats["goal_search_hits"] >= 1
         assert stats["skeletons_hits"] >= 1

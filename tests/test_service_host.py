@@ -1,6 +1,6 @@
 """ShardHost: one worker process per core, supervised.
 
-Covers the pipe frame codec, fingerprint routing, single-request and
+Covers fingerprint routing, one pickle per request frame, single-request and
 group parity against a direct engine, worker-crash lifecycle (restart,
 re-registration, ``worker_restarts`` accounting, no lost or duplicated
 replies), cross-process stats aggregation and the service facade's
@@ -20,8 +20,7 @@ from repro.service import (AsyncExchangeService, ExchangeRequest, ShardHost,
                            UnknownSettingError, certain_answers_request,
                            classify_request, consistency_request,
                            solve_request)
-from repro.service.host import (FrameError, _WorkerHandle, _decode_frame,
-                                _encode_frame)
+from repro.service.host import _WorkerHandle
 from repro.service.protocol import answers_to_wire, tree_to_wire
 from repro.workloads import library, nested_relational
 
@@ -48,21 +47,6 @@ def library_pair(library_setting):
     tree = library.generate_source(4, authors_per_book=2, seed=1)
     query = library.query_writer_of("Book-0")
     return library_setting, tree, query
-
-
-class TestFrameCodec:
-    def test_round_trip(self):
-        payload = (7, "request", {"nested": ["anything", b"picklable"]})
-        assert _decode_frame(_encode_frame(payload)) == payload
-
-    def test_truncated_frame_is_a_typed_error(self):
-        frame = _encode_frame((1, "request", "x" * 100))
-        with pytest.raises(FrameError, match="truncated"):
-            _decode_frame(frame[:-3])
-
-    def test_short_frame_without_prefix(self):
-        with pytest.raises(FrameError, match="length prefix"):
-            _decode_frame(b"\x00\x01")
 
 
 class TestRoutingAndParity:

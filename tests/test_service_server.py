@@ -19,6 +19,7 @@ from repro import (ChaseError, DataExchangeSetting, DTD, ExchangeEngine, Null,
                    XMLTree, std)
 from repro.generators import generate_scenario
 from repro.service.client import ServiceClient
+from repro.service.server import serve_in_background
 from repro.service.protocol import (answers_to_wire, decode_line, encode_line,
                                     frozen_from_wire, query_from_wire,
                                     setting_from_wire, setting_to_wire,
@@ -396,6 +397,99 @@ class TestInProcessServer:
                 assert client.shutdown()
         finally:
             idle.close()
+
+
+class TestTypedErrorReplies:
+    """Request errors cross the wire as their own classes, never as the
+    catch-all ``ServerError``, on a connection that keeps serving."""
+
+    @pytest.fixture
+    def client(self, request):
+        """A connection to a fresh server; ``thread`` executor unless
+        parametrized with ``host`` (one worker, no store)."""
+        executor = getattr(request, "param", "thread")
+        port, _server, join = serve_in_background(
+            executor=executor, **({"workers": 1} if executor == "host"
+                                  else {}))
+        with ServiceClient("127.0.0.1", port) as connected:
+            yield connected
+            assert connected.shutdown()
+        join()
+
+    def test_client_sends_a_str_variable_order_unsplit(self, client):
+        """``"wt"`` is not a list of variable names: the server refuses it
+        instead of answering for the order ``["w", "t"]``."""
+        fingerprint = client.register(library.library_setting())
+        tree = library.generate_source(2, authors_per_book=1, seed=2)
+        query = "bib[writer(@name=w)[work(@title=t)]]"
+        with pytest.raises(ValueError, match="variable_order"):
+            client.certain_answers(fingerprint, tree, query,
+                                   variable_order="wt")
+        assert client.ping()
+        assert client.certain_answers(fingerprint, tree, query,
+                                      variable_order=("t", "w"))
+
+    @pytest.mark.parametrize("line, error", [
+        (b"\xff\xfe{}\n", "not UTF-8"),
+        (b'{"op": "ping"\n', "truncated"),
+        (b"[" * 100_000 + b"]" * 100_000 + b"\n", "nested"),
+    ], ids=["not-utf8", "truncated", "nested"])
+    def test_undecodable_lines_are_value_errors(self, client, line, error):
+        client._sock.sendall(line)
+        reply = decode_line(client._reader.readline())
+        assert (reply["ok"], reply["error"]) == (False, "ValueError"), error
+        assert client.ping()
+
+    @pytest.mark.parametrize("fields", [
+        {"op": "register", "setting": "library"},
+        {"op": "register", "setting": {"source_dtd": 7}},
+        {"op": "consistency", "strategy": 1},
+    ], ids=["setting-not-an-object", "dtd-not-an-object", "strategy-int"])
+    def test_malformed_fields_are_value_errors(self, client, fields):
+        fingerprint = client.register(library.library_setting())
+        with pytest.raises(ValueError) as excinfo:
+            client.request(dict({"fingerprint": fingerprint}, **fields))
+        assert type(excinfo.value) is ValueError
+        assert client.ping()
+
+    def test_repository_errors_keep_their_classes(self, client):
+        from repro.exchange.presolution import PreSolutionError
+        from repro.patterns.parse import PatternParseError
+
+        fingerprint = client.register(library.library_setting())
+        tree = library.generate_source(2, authors_per_book=1, seed=2)
+        with pytest.raises(PatternParseError):
+            client.certain_answers(fingerprint, tree, "bib[")
+        # ``r[//b]`` is not fully specified: cps is undefined.
+        loose = client.register(DataExchangeSetting(
+            DTD("r", {"r": "A", "A": ""}), DTD("r", {"r": "b*", "b": ""}),
+            [std("r[//b]", "r[A]")]))
+        with pytest.raises(PreSolutionError, match="not fully specified"):
+            client.solve(loose, XMLTree.build(("r", [("A", [])])))
+        assert client.ping()
+
+    def test_deeply_nested_texts_keep_their_class(self, client):
+        """A query or content model nested past the recursion limit raises
+        ``RecursionError`` in a direct call, and so on the client."""
+        fingerprint = client.register(library.library_setting())
+        tree = library.generate_source(1, seed=1)
+        with pytest.raises(RecursionError):
+            client.certain_answers(fingerprint, tree, "bib[" + "writer["
+                                   * 400 + "work" + "]" * 401)
+        with pytest.raises(RecursionError):
+            client.request({"op": "register", "setting": {
+                "source_dtd": {"root": "r",
+                               "rules": {"r": "(" * 600 + "a" + ")" * 600}},
+                "target_dtd": {"root": "t"}, "stds": []}})
+        assert client.ping()
+
+    @pytest.mark.parametrize("client", ["host"], indirect=True)
+    def test_host_put_tree_without_a_store_is_a_store_error(self, client):
+        from repro.storage import StoreError
+
+        with pytest.raises(StoreError, match="no corpus store"):
+            client.put_tree(library.generate_source(1, seed=1))
+        assert client.ping()
 
 
 #: The server-module codec functions a big line of each op runs.

@@ -23,8 +23,11 @@ class TestVariables:
     def test_distinct_source_variables_proviso(self):
         ok = std("r[b]", "r[l0(@a=x)[l1(@a=y)]]")
         repeated = std("r[b]", "r[l0(@a=x)[l1(@a=x)]]")
+        constant = std("r[b]", "r[l0(@a=x)[l1(@a='c')]]")
         assert ok.has_distinct_source_variables()
         assert not repeated.has_distinct_source_variables()
+        # A constant is not a variable: it fixes a value Claim 4.2 erases.
+        assert not constant.has_distinct_source_variables()
 
 
 class TestClassification:

@@ -816,6 +816,29 @@ class TestOldStore:
 
         assert asyncio.run(restart()) == {("Author-1",), ("Author-2",)}
 
+    def test_old_store_answers_a_general_consistency_check(self, tmp_path):
+        """The old pickle memoised skeletons per enumeration cap (a dict);
+        loading drops it, so the general procedure re-enumerates."""
+        import asyncio
+        import shutil
+        from pathlib import Path
+
+        from repro.service import AsyncExchangeService
+
+        path = tmp_path / "store"
+        shutil.copytree(Path(__file__).parent / "fixtures" / "old_store",
+                        path)
+
+        async def restart():
+            async with AsyncExchangeService(executor="serial",
+                                            store=path) as service:
+                restored = service.restore_settings()
+                result = await service.check_consistency(restored[0],
+                                                         "general")
+                return result.strategy, result.payload
+
+        assert asyncio.run(restart()) == ("general", True)
+
     def test_old_pickled_trees_keep_their_fingerprints(self, tmp_path):
         """``tests/fixtures/old_store_skeletons`` persisted a setting whose
         nested-relational skeleton trees were pickled with the old
