@@ -184,8 +184,7 @@ def main(argv=None) -> int:
         with CorpusStore(store_path) as writer:
             writer.put_setting(compiled, prewarm=True)
         service = AsyncExchangeService(
-            registry=SettingRegistry(store=CorpusStore(store_path,
-                                                       read_only=True)),
+            registry=SettingRegistry(store=store_path, store_read_only=True),
             executor="serial")
         registry = service.registry
         restored = service.restore_settings()

@@ -6,8 +6,8 @@ example runs the shape of a long-lived server: a :class:`SettingRegistry`
 admitting **two** different exchange settings (the paper's bibliography
 example and the Clio-style company scenario), an
 :class:`AsyncExchangeService` routing awaitable requests to each setting's
-shard by fingerprint, and one mixed-setting batch whose sub-batches execute
-concurrently and come back in submission order.
+shard by fingerprint, and one mixed-setting batch whose per-setting groups
+run concurrently and come back in submission order.
 
 Run with:  python examples/service_quickstart.py
 """
@@ -63,8 +63,9 @@ async def main() -> None:
         print("projects of Dept-0   :", sorted(answers.payload))
 
         # ------------------------------------------------------------- #
-        # 3. One mixed-setting batch: the router splits it into per-shard
-        #    sub-batches, runs them concurrently, reassembles in order.
+        # 3. One mixed-setting batch: the service groups it by setting,
+        #    runs the groups concurrently (each group's requests in turn
+        #    on its shard) and returns one slot per request, in order.
         # ------------------------------------------------------------- #
         mixed = [
             certain_answers_request(bib_key, bib_tree, who_wrote),
@@ -200,6 +201,7 @@ def pipelined_client_demo() -> None:
         if process.poll() is None:
             process.kill()
             process.wait()
+        process.stdout.close()
 
 
 if __name__ == "__main__":

@@ -45,14 +45,15 @@ _BLOCKING_BUILTINS = {"open", "input", "print"}
 #: Engine-compute methods that are synchronous by contract: calling one
 #: *unawaited* from a coroutine runs a whole chase/evaluation on the loop.
 #: (The awaitable service methods share these names — an ``await`` in front
-#: is exactly what distinguishes the safe call.)  ``execute`` /
-#: ``execute_group`` are the Router and ShardHost forwarding entry points:
-#: synchronous end-to-end (the ShardHost ones *block on a worker pipe*), so
-#: a coroutine must reach them through ``service.offload``/``partial``,
-#: never by direct call.
+#: is exactly what distinguishes the safe call.)  ``execute`` / ``submit``
+#: are the Router and ShardHost forwarding entry points: a Router call runs
+#: the request on the calling thread, ``ShardHost.execute`` *blocks on a
+#: worker pipe*, and ``ShardHost.submit`` pickles the frame and writes the
+#: pipe there.  A coroutine must reach them through
+#: ``service.offload``/``partial``, never by direct call.
 _ENGINE_SYNC = {"solve", "solve_batch", "certain_answers",
                 "certain_answers_batch", "check_consistency", "classify",
-                "prewarm", "execute", "execute_group"}
+                "prewarm", "execute", "submit"}
 
 _LOCKISH_NAME = re.compile(r"(?:^|_)(?:r?lock|guard|mutex)$", re.IGNORECASE)
 _LOCK_FACTORIES = {"threading.Lock", "threading.RLock"}

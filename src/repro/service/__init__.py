@@ -8,18 +8,22 @@ lifetime:
   ``DataExchangeSetting.fingerprint()``, compiles them lazily and keeps at
   most ``max_compiled`` compiled (LRU), with per-setting bounded result
   caches so tenants cannot evict each other's entries;
-* :class:`Router` — partitions mixed-setting batches into per-shard
-  sub-batches and re-assembles results in submission order;
+* :class:`Router` — serves a request on the shard owning its fingerprint,
+  with the shard host's call shape (``execute``, and ``submit`` returning
+  a settled future);
 * :class:`AsyncExchangeService` — the awaitable facade
   (``await consistency/solve/certain_answers/batch``) running work on a
   configurable serial/thread/host executor without blocking the event
-  loop (serial excepted: it runs inline);
+  loop (serial excepted: it runs inline); a batch is grouped by
+  fingerprint and each group runs through one runner that submits it to
+  the router or the host and settles the handles in order;
 * :class:`ShardHost` — the one multi-process shape, behind
   ``executor="host"``:
   one long-lived worker process per core, each owning a full registry
   slice (compiled settings, plan caches, result caches stay warm across
   requests), routed by fingerprint over pickle frames on one pipe each,
-  with crashed workers restarted and re-registered transparently;
+  with crashed workers restarted and re-registered transparently, and
+  every worker ending with its supervisor;
 * :class:`QuotaPolicy` — admission control: per-setting ``max_in_flight``
   and registry-wide ``max_registered`` ceilings; over-quota work is
   rejected immediately with a typed :class:`QuotaExceededError` (await-side

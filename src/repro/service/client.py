@@ -399,6 +399,8 @@ def run_smoke(executor: str = "thread", verbose: bool = True) -> int:
         process.wait()
         print(f"SMOKE FAIL: {error}", file=sys.stderr, flush=True)
         return 1
+    finally:
+        process.stdout.close()
 
 
 def _boot_store_server(store: str, executor: str):
@@ -413,7 +415,7 @@ def _boot_store_server(store: str, executor: str):
     while True:
         line = process.stdout.readline()
         if not line:
-            process.wait()
+            process.communicate()  # reaps the server, closes its pipe
             raise AssertionError(
                 f"server exited ({process.returncode}) before the "
                 f"listening banner")
@@ -465,6 +467,8 @@ def run_restart_smoke(executor: str = "thread", verbose: bool = True) -> int:
             print(f"RESTART SMOKE FAIL: {error}", file=sys.stderr,
                   flush=True)
             return 1
+        finally:
+            process.stdout.close()
         process, host, port, restored = _boot_store_server(store, executor)
         try:
             assert restored == 1, f"expected 1 restored setting, " \
@@ -494,6 +498,8 @@ def run_restart_smoke(executor: str = "thread", verbose: bool = True) -> int:
             print(f"RESTART SMOKE FAIL: {error}", file=sys.stderr,
                   flush=True)
             return 1
+        finally:
+            process.stdout.close()
 
 
 def main(argv: Optional[List[str]] = None) -> int:

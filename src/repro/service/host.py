@@ -25,6 +25,13 @@ control frames included; each worker serves its pipe serially
 (shared-nothing, one process per core) while the supervisor demultiplexes
 replies to concurrent callers by ``request_id``.
 
+**Call handles**: :meth:`ShardHost.submit` writes a request's frame and
+returns at once with its pending call, whose ``result()`` blocks for the
+reply and re-raises what the worker raised; :meth:`ShardHost.execute` is
+``submit(request).result()`` under a ``host.pipe`` span.  Submitting several
+requests before collecting any pipelines them down the owning worker's
+pipe, which is how ``AsyncExchangeService.batch`` runs a host group.
+
 **Crash containment**: a worker that segfaults, gets OOM-killed or is
 fault-injected (:meth:`inject_crash`) is detected by its reader thread
 (pipe EOF), restarted, and re-registered from the supervisor's
@@ -35,27 +42,35 @@ were in flight on the dead worker are resubmitted once to its replacement
 lost); a request whose *retry* also dies fails with
 :class:`WorkerCrashError` rather than crash-looping the worker.  A crash
 therefore degrades one shard slice's cache warmth — never the service.
+
+**Exit and supervisor death**: a host still open at interpreter exit is
+closed by a finalizer that multiprocessing's exit handler runs before it
+terminates daemonic children; otherwise the host would take those exits
+for crashes and the handler would wait forever on the replacements.  A
+forked child closes every supervisor pipe end it inherited as it starts,
+so the supervisor process is their only holder: when it dies (even by
+``SIGKILL``) each worker reads EOF and exits.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.util
 import os
 import pickle
 import signal
 import threading
-import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..engine import CacheStats, EngineResult, merge_counts
 from ..engine.compiled import CompiledSetting, compile_setting
 from ..exchange.setting import DataExchangeSetting
 from ..obs.metrics import registry as obs_metrics
-from ..obs.trace import (activate, capture, current_context, emit,
-                         ingest, span as obs_span)
+from ..obs.trace import (activate, capture, current_context, ingest,
+                         span as obs_span)
 from ..storage import CorpusStore, StoreError
 from .registry import SettingRegistry, UnknownSettingError
-from .requests import ExchangeRequest, ServiceResult
+from .requests import ExchangeRequest
 
 __all__ = ["ShardHost", "WorkerCrashError"]
 
@@ -169,7 +184,8 @@ def _serve_worker_op(registry: SettingRegistry, op: str, payload: Any) -> Any:
 # --------------------------------------------------------------------- #
 
 class _PendingCall:
-    """One in-flight frame: what to resend on a crash, where to wait."""
+    """One in-flight frame: what to resend on a crash, where to wait for
+    the reply (:meth:`result`)."""
 
     __slots__ = ("op", "payload", "ctx", "event", "ok", "outcome", "retries")
 
@@ -194,7 +210,9 @@ class _PendingCall:
     def fail(self, error: BaseException) -> None:
         self.resolve(False, error)
 
-    def wait(self) -> Any:
+    def result(self) -> Any:
+        """Block for the reply; return it, or re-raise what the worker
+        raised."""
         self.event.wait()
         if not self.ok:
             raise self.outcome
@@ -292,8 +310,11 @@ class ShardHost:
         #: registry config, so fingerprint-addressed requests resolve
         #: in-worker and worker restarts come back warm from disk.  An
         #: in-memory store cannot cross the process boundary, hence the
-        #: on-disk requirement.
-        if store is not None and not isinstance(store, CorpusStore):
+        #: on-disk requirement.  A store opened here from a path is closed
+        #: by :meth:`close`; a ``CorpusStore`` passed in stays the caller's.
+        self._owns_store = store is not None and \
+            not isinstance(store, CorpusStore)
+        if self._owns_store:
             store = CorpusStore(store)
         if store is not None and store.path is None:
             raise ValueError(
@@ -327,6 +348,11 @@ class ShardHost:
         self._generations: List[int] = [0] * workers
         self._handles: List[_WorkerHandle] = [
             self._spawn(index) for index in range(workers)]
+        #: Closes the host at interpreter exit, before multiprocessing
+        #: terminates daemonic children (finalizers of priority >= 0 run
+        #: first); :meth:`close` cancels it.
+        self._at_exit = multiprocessing.util.Finalize(None, self.close,
+                                                      exitpriority=0)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -334,6 +360,11 @@ class ShardHost:
 
     def _spawn(self, index: int) -> _WorkerHandle:
         supervisor_end, worker_end = self._mp.Pipe(duplex=True)
+        # Every child forked from now on (this worker included) closes its
+        # copy of this end as it starts: while any copy stayed open, the
+        # supervisor's death would not reach this worker as EOF.
+        multiprocessing.util.register_after_fork(supervisor_end,
+                                                 type(supervisor_end).close)
         process = self._mp.Process(
             target=_worker_main, args=(worker_end, self._registry_config),
             name=f"shard-host-worker-{index}", daemon=True)
@@ -405,12 +436,14 @@ class ShardHost:
         """Shut every worker down (idempotent).  Workers get
         :data:`SHUTDOWN_TIMEOUT` seconds to finish their current request, then
         are terminated; still-pending calls fail with a closed-host error.
+        A store the host opened from a path is closed too.
         """
         with self._lock:
             if self._closing:
                 return
             self._closing = True
             handles = list(self._handles)
+        self._at_exit.cancel()
         for handle in handles:
             handle.send_raw("shutdown")
         for handle in handles:
@@ -428,6 +461,8 @@ class ShardHost:
         for handle in handles:
             if handle.reader is not None:
                 handle.reader.join(timeout=SHUTDOWN_TIMEOUT)
+        if self._owns_store:
+            self.store.close()
 
     def __enter__(self) -> "ShardHost":
         return self
@@ -462,7 +497,7 @@ class ShardHost:
         reply, re-raising whatever the worker raised."""
         call = _PendingCall(op, payload)
         self._submit(index, call)
-        return call.wait()
+        return call.result()
 
     def _call_handle(self, handle: _WorkerHandle, op: str,
                      payload: Any = None) -> Any:
@@ -478,7 +513,7 @@ class ShardHost:
             raise WorkerCrashError(
                 f"shard-host worker {handle.index} "
                 f"(generation {handle.generation}) is dead")
-        return call.wait()
+        return call.result()
 
     # ------------------------------------------------------------------ #
     # Serving API (mirrors SettingRegistry / Router)
@@ -531,66 +566,29 @@ class ShardHost:
         return self._call(self.worker_for(fingerprint), "prewarm",
                           fingerprint)
 
-    def execute(self, request: ExchangeRequest) -> EngineResult:
-        """Serve one request on the owning worker; worker-side exceptions
-        re-raise here unchanged (same contract as ``Router.execute``)."""
+    def submit(self, request: ExchangeRequest) -> _PendingCall:
+        """Send one request to its owning worker without waiting for it.
+
+        Returns the pending call; its ``result()`` blocks for the reply and
+        re-raises what the worker raised.  An unknown fingerprint or a
+        closed host raises here, before anything is sent.
+        """
         with self._lock:
             if request.fingerprint not in self._settings:
                 raise UnknownSettingError(request.fingerprint)
-        index = self.worker_for(request.fingerprint)
+        call = _PendingCall("request", request)
+        self._submit(self.worker_for(request.fingerprint), call)
+        return call
+
+    def execute(self, request: ExchangeRequest) -> EngineResult:
+        """Serve one request on the owning worker; worker-side exceptions
+        re-raise here unchanged (same contract as ``Router.execute``)."""
         # host.pipe is the supervisor's view of the round-trip; the gap
         # between it and the worker's host.worker span is pure transport
         # (pickling + pipe + the worker's queue).
+        index = self.worker_for(request.fingerprint)
         with obs_span("host.pipe", worker=index):
-            return self._call(index, "request", request)
-
-    def execute_group(self, fingerprint: str,
-                      group: Sequence[Tuple[int, ExchangeRequest]],
-                      on_done=None) -> List[ServiceResult]:
-        """One per-fingerprint sub-batch, pipelined down the owning
-        worker's pipe (submitted back-to-back, collected in order), with
-        failures isolated per slot — the process-boundary analogue of
-        ``Router.execute_group``."""
-        pairs = list(group)
-        calls: List[Optional[_PendingCall]] = []
-        submitted: List[float] = []
-        results: List[ServiceResult] = []
-        for index, request in pairs:
-            try:
-                with self._lock:
-                    known = request.fingerprint in self._settings
-                if not known:
-                    raise UnknownSettingError(request.fingerprint)
-                call = _PendingCall("request", request)
-                self._submit(self.worker_for(request.fingerprint), call)
-                calls.append(call)
-                submitted.append(time.perf_counter())
-            except Exception as error:
-                calls.append(None)
-                submitted.append(0.0)
-                results.append(ServiceResult(index, fingerprint,
-                                             error=error))
-                if on_done is not None:
-                    on_done(index, request)
-                continue
-            results.append(ServiceResult(index, fingerprint))
-        for slot, call, started, (index, request) in zip(
-                results, calls, submitted, pairs):
-            if call is None:
-                continue  # already failed at submission
-            try:
-                slot.result = call.wait()
-            except Exception as error:
-                slot.error = error
-            finally:
-                # Pipelined calls cannot nest a ``with`` per round-trip
-                # (submissions overlap), so the pipe span is emitted
-                # retroactively from the recorded submission time.
-                emit("host.pipe", started, time.perf_counter(),
-                     worker=self.worker_for(request.fingerprint))
-                if on_done is not None:
-                    on_done(index, request)
-        return results
+            return self.submit(request).result()
 
     def ping(self) -> List[bool]:
         """Round-trip every worker's pipe (liveness probe)."""

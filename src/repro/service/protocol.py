@@ -262,9 +262,7 @@ def setting_from_wire(wire: Any) -> DataExchangeSetting:
 # --------------------------------------------------------------------- #
 
 def query_from_wire(wire: Any) -> Query:
-    """A query from its wire form: tree-pattern text (or ``{"pattern": …}``)."""
-    if isinstance(wire, dict):
-        wire = wire.get("pattern")
+    """A query from its wire form: tree-pattern text."""
     if not isinstance(wire, str):
         raise ValueError("queries travel as tree-pattern text")
     return pattern_query(parse_pattern(wire))

@@ -96,8 +96,12 @@ class SettingRegistry:
         #: *overlays* its counters rather than summing per-shard views).
         #: A path opens (and, unless ``store_read_only``, creates) an
         #: on-disk store; shard-host workers pass ``store_read_only=True``
-        #: — the supervisor owns writes.
-        if store is not None and not isinstance(store, CorpusStore):
+        #: — the supervisor owns writes.  A store opened here from a path
+        #: is closed by :meth:`close`; a ``CorpusStore`` passed in stays
+        #: the caller's.
+        self._owns_store = store is not None and \
+            not isinstance(store, CorpusStore)
+        if self._owns_store:
             store = CorpusStore(store, read_only=store_read_only)
         self.store: Optional[CorpusStore] = store
         self._settings: Dict[str, DataExchangeSetting] = {}
@@ -376,9 +380,11 @@ class SettingRegistry:
         return {fingerprint: shard.stats() for fingerprint, shard in shards}
 
     def close(self) -> None:
-        """A no-op: shards compute inline and hold nothing to release, and
-        the attached store is left open.  Kept so owners (the service, the
-        shard-host worker) can pair construction with ``close()``."""
+        """Close the store this registry opened from a path (idempotent).
+        Shards compute inline and hold nothing to release, and a
+        ``CorpusStore`` passed in is left open for its owner."""
+        if self._owns_store:
+            self.store.close()
 
     def __repr__(self) -> str:
         return (f"<SettingRegistry settings={len(self._settings)} "

@@ -12,10 +12,15 @@ pipeline work running off the event loop on a configurable executor.
   :class:`~repro.engine.EngineResult` and **raise exactly what a direct
   engine call would raise** — ``ChaseError`` and friends surface unchanged
   through ``await``.
-* :meth:`batch` takes a mixed-setting request list, partitions it into
-  per-shard sub-batches (:class:`Router`), runs the sub-batches concurrently
-  on the executor and re-assembles :class:`ServiceResult` slots in
-  submission order, isolating failures per request.
+* :meth:`batch` takes a mixed-setting request list and returns one
+  :class:`ServiceResult` slot per request, in submission order, isolating
+  failures per slot.  The admitted requests are grouped by setting
+  fingerprint and each group runs on the executor through one runner: it
+  submits the whole group to the backend (:class:`Router` in process, the
+  :class:`~repro.service.host.ShardHost` in host mode), then settles the
+  handles in order.  Groups run concurrently; within a group, in-process
+  requests run one after another on one pool thread and host requests
+  pipeline down the owning worker's pipe.
 * Admission control: with a :class:`~repro.service.quota.QuotaPolicy`, work
   beyond a setting's ``max_in_flight`` is rejected **at submission time**
   with a typed :class:`~repro.service.quota.QuotaExceededError` — raised
@@ -56,12 +61,11 @@ from __future__ import annotations
 
 import asyncio
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import (Any, Callable, Dict, List, Optional, Sequence, TypeVar,
-                    Union)
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    TypeVar, Union)
 
 from ..engine import EngineResult
 from ..engine.compiled import CompiledSetting
@@ -119,11 +123,15 @@ class AsyncExchangeService:
         #: ephemeral in-memory store (so ``put_tree`` works out of the
         #: box — it just does not survive restarts), while host mode —
         #: whose workers must reopen the store from other processes —
-        #: keeps ``None`` until given an on-disk path.
-        if store is not None and not isinstance(store, CorpusStore):
+        #: keeps ``None`` until given an on-disk path.  :meth:`close`
+        #: closes only a store opened here (from a path, or the in-memory
+        #: default); a ``CorpusStore`` passed in stays the caller's.
+        owns_store = store is not None and not isinstance(store, CorpusStore)
+        if owns_store:
             store = CorpusStore(store)
         if store is None and registry is None and executor != "host":
             store = CorpusStore(None)
+            owns_store = True
         if registry is None:
             registry = SettingRegistry(
                 max_compiled=max_compiled,
@@ -138,6 +146,7 @@ class AsyncExchangeService:
                 "max_compiled / result_cache_maxsize / quota")
         self.store: Optional[CorpusStore] = \
             store if store is not None else registry.store
+        self._owns_store = owns_store
         self.registry = registry
         self.router = Router(registry)
         self.executor = executor
@@ -225,16 +234,16 @@ class AsyncExchangeService:
             raise StoreError(
                 "service has no corpus store attached; host-mode services "
                 "need an on-disk store (store=PATH) to accept documents")
-        return await self._offload(partial(store.put_tree, tree))
+        return await self.offload(partial(store.put_tree, tree))
 
     async def prewarm(self, fingerprint: str) -> bool:
         """Compile a registered setting off the event loop, ahead of its
         first request.  Returns ``True`` when this call did the compile,
         ``False`` when the setting was already warm."""
         if self._host is not None:
-            return await self._offload(
+            return await self.offload(
                 partial(self._host.prewarm, fingerprint))
-        return await self._offload(
+        return await self.offload(
             partial(self.registry.prewarm, fingerprint))
 
     # ------------------------------------------------------------------ #
@@ -288,75 +297,71 @@ class AsyncExchangeService:
                     return_exceptions: bool = True) -> List[ServiceResult]:
         """Serve a mixed-setting batch; results keep submission order.
 
-        The batch is partitioned into per-shard sub-batches which run
-        concurrently on the service executor.  Failures mark only their own
-        slot (``ServiceResult.error``); with ``return_exceptions=False`` the
-        first failed slot's exception is re-raised after the whole batch has
-        settled, so one bad request still cannot abort its neighbours
-        mid-flight.
+        The admitted requests are grouped by setting fingerprint (in
+        first-appearance order) and the groups run concurrently on the
+        service executor, each through :meth:`_run_group`.  Failures mark
+        only their own slot (``ServiceResult.error``); with
+        ``return_exceptions=False`` the first failed slot's exception is
+        re-raised after the whole batch has settled, so one bad request
+        still cannot abort its neighbours mid-flight.
 
         With an in-flight quota, slots are admitted in submission order —
         the first ``max_in_flight`` requests per setting are accepted, the
         rest become deterministic
         :class:`~repro.service.quota.QuotaExceededError` slots without ever
-        touching a shard (or their admitted neighbours).
+        touching a shard (or their admitted neighbours).  Each admitted
+        slot's quota is released as that slot settles.
         """
         requests = list(requests)
-        if not requests:
-            return []
-        admitted: List[tuple] = []
-        rejected: List[ServiceResult] = []
-        for index, request in enumerate(requests):
+        slots = [ServiceResult(index, request.fingerprint)
+                 for index, request in enumerate(requests)]
+        groups: Dict[str, List[Tuple[ServiceResult, ExchangeRequest]]] = {}
+        for slot, request in zip(slots, requests):
             try:
                 self.registry.quota_acquire(request.fingerprint)
             except QuotaExceededError as error:
-                rejected.append(ServiceResult(index, request.fingerprint,
-                                              error=error))
+                slot.error = error
             else:
-                admitted.append((index, request))
-        # Each admitted slot is released the moment its request settles
-        # (the router's on_done hook) — not when the whole batch does, so
-        # a finished setting's slots free up while unrelated sub-batches
-        # are still running.  The idempotent guard lets the finally below
-        # sweep up anything a failed/cancelled group run never reached.
-        released: set = set()
-        release_guard = threading.Lock()
-
-        def release(index: int, request: ExchangeRequest) -> None:
-            with release_guard:
-                if index in released:
-                    return
-                released.add(index)
-            self.registry.quota_release(request.fingerprint)
-
-        try:
-            with obs_span("service.batch", requests=len(requests),
-                          admitted=len(admitted)):
-                groups = self.router.partition_pairs(admitted)
-                if self._host is not None:
-                    group_runs = [
-                        self._traced_offload(
-                            partial(self._host.execute_group,
-                                    fingerprint, group, on_done=release))
-                        for fingerprint, group in groups.items()]
-                else:
-                    group_runs = [
-                        self._traced_offload(
-                            partial(self.router.execute_group,
-                                    fingerprint, group, on_done=release))
-                        for fingerprint, group in groups.items()]
-                outcomes = list(await asyncio.gather(*group_runs))
-        finally:
-            for index, request in admitted:
-                release(index, request)
-        if rejected:
-            outcomes.append(rejected)
-        results = self.router.reassemble(outcomes, len(requests))
+                groups.setdefault(request.fingerprint, []).append(
+                    (slot, request))
+        with obs_span("service.batch", requests=len(slots),
+                      admitted=sum(map(len, groups.values()))):
+            # Shielded: a cancelled batch leaves its groups to run, so each
+            # still releases the quota it holds.
+            await asyncio.shield(asyncio.gather(*(
+                self._traced_offload(partial(self._run_group, group))
+                for group in groups.values())))
         if not return_exceptions:
-            for item in results:
-                if item.error is not None:
-                    raise item.error
-        return results
+            for slot in slots:
+                if slot.error is not None:
+                    raise slot.error
+        return slots
+
+    def _run_group(self, group: List[Tuple[ServiceResult, ExchangeRequest]]
+                   ) -> None:
+        """Run one fingerprint's requests: submit them all back to back,
+        then settle each handle in order into its slot, releasing the
+        slot's quota.  Host submissions pipeline down the owning worker's
+        pipe; a :class:`Router` submission runs the request at once."""
+        backend: Union[Router, ShardHost] = \
+            self.router if self._host is None else self._host
+        handles = []
+        for slot, request in group:
+            try:
+                handles.append(backend.submit(request))
+            except Exception as error:
+                slot.error = error
+                handles.append(None)
+                self.registry.quota_release(request.fingerprint)
+        for (slot, request), handle in zip(group, handles):
+            if handle is None:
+                continue
+            try:
+                slot.result = handle.result()
+            except Exception as error:
+                slot.error = error
+            finally:
+                self.registry.quota_release(request.fingerprint)
 
     # ------------------------------------------------------------------ #
     # Introspection / lifecycle
@@ -412,7 +417,7 @@ class AsyncExchangeService:
             self._host.close()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        if self.store is not None:
+        if self._owns_store:
             self.store.close()
 
     async def __aenter__(self) -> "AsyncExchangeService":
@@ -442,8 +447,6 @@ class AsyncExchangeService:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(self._pool, fn)
 
-    _offload = offload
-
     async def _traced_offload(self, fn: Callable[[], _T]) -> _T:
         """:meth:`offload` with queueing attributed: the span context is
         captured on the loop (contextvars do not cross executor threads),
@@ -451,7 +454,7 @@ class AsyncExchangeService:
         retroactively as ``service.queue``, and the work itself runs under
         ``service.execute``.  Tracing off → plain :meth:`offload`."""
         if not obs_enabled():
-            return await self._offload(fn)
+            return await self.offload(fn)
         context = current_context()
         submitted = time.perf_counter()
 
@@ -461,4 +464,4 @@ class AsyncExchangeService:
                 with obs_span("service.execute"):
                     return fn()
 
-        return await self._offload(run)
+        return await self.offload(run)

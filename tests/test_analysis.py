@@ -74,7 +74,8 @@ def test_rl001_ignores_sync_defs_nested_defs_and_other_layers():
 
 
 def test_rl001_flags_unawaited_host_forwarding_calls():
-    # ShardHost.execute / execute_group block on a worker pipe round-trip;
+    # ShardHost.execute blocks on a worker pipe round-trip and
+    # ShardHost.submit pickles and writes the frame on the calling thread;
     # a coroutine must reach them through offload, never by direct call.
     found = findings_for("""
         async def submit(self, request):
@@ -83,11 +84,11 @@ def test_rl001_flags_unawaited_host_forwarding_calls():
     assert codes(found) == ["RL001"]
     assert ".execute" in found[0].message
     found = findings_for("""
-        async def batch(self, fingerprint, group):
-            return self._host.execute_group(fingerprint, group)
+        async def batch(self, request):
+            return self._host.submit(request)
     """, module="repro.service.service")
     assert codes(found) == ["RL001"]
-    assert ".execute_group" in found[0].message
+    assert ".submit" in found[0].message
 
 
 def test_rl001_host_forwarding_behind_offload_is_clean():
@@ -95,7 +96,10 @@ def test_rl001_host_forwarding_behind_offload_is_clean():
         from functools import partial
 
         async def submit(self, request):
-            return await self._offload(partial(self._host.execute, request))
+            return await self.offload(partial(self._host.execute, request))
+
+        async def batch(self, request):
+            return await self.offload(partial(self._host.submit, request))
     """
     assert findings_for(clean, module="repro.service.service") == []
 

@@ -218,42 +218,19 @@ class TestSettingRegistry:
 
 
 class TestRouter:
-    def test_partition_preserves_positions(self, library_pair, company_pair):
-        lib_setting, lib_tree, lib_query = library_pair
-        com_setting, com_tree, com_query = company_pair
-        lib_fp = lib_setting.fingerprint()
-        com_fp = com_setting.fingerprint()
-        requests = [consistency_request(lib_fp),
-                    consistency_request(com_fp),
-                    certain_answers_request(lib_fp, lib_tree, lib_query),
-                    certain_answers_request(com_fp, com_tree, com_query),
-                    solve_request(lib_fp, lib_tree)]
-        router = Router(SettingRegistry())
-        groups = router.partition(requests)
-        assert list(groups) == [lib_fp, com_fp]  # first-appearance order
-        assert [index for index, _ in groups[lib_fp]] == [0, 2, 4]
-        assert [index for index, _ in groups[com_fp]] == [1, 3]
-
-    def test_execute_batch_reassembles_in_order(self, library_pair,
-                                                company_pair):
-        lib_setting, lib_tree, lib_query = library_pair
-        com_setting, com_tree, com_query = company_pair
+    def test_submit_returns_a_settled_future(self, library_pair):
+        """``Router.submit`` has ShardHost's call shape: the handle's
+        ``result()`` is ``execute``'s payload, or re-raises its error."""
+        setting, tree, query = library_pair
         registry = SettingRegistry()
-        lib_fp = registry.register(lib_setting)
-        com_fp = registry.register(com_setting)
-        requests = [certain_answers_request(com_fp, com_tree, com_query),
-                    consistency_request(lib_fp),
-                    certain_answers_request(lib_fp, lib_tree, lib_query),
-                    consistency_request(com_fp)]
-        slots = Router(registry).execute_batch(requests)
-        assert [slot.index for slot in slots] == [0, 1, 2, 3]
-        assert [slot.fingerprint for slot in slots] == \
-            [com_fp, lib_fp, lib_fp, com_fp]
-        assert all(slot.ok for slot in slots)
-        # Spot-check payloads against direct engines.
-        direct = ExchangeEngine(lib_setting)
-        assert slots[2].result.payload == \
-            direct.certain_answers(lib_tree, lib_query).payload
+        fingerprint = registry.register(setting)
+        router = Router(registry)
+        request = certain_answers_request(fingerprint, tree, query)
+        handle = router.submit(request)
+        assert handle.done()
+        assert handle.result().payload == router.execute(request).payload
+        with pytest.raises(UnknownSettingError):
+            router.submit(consistency_request("f" * 64)).result()
 
     def test_wrong_shard_is_rejected(self, library_pair, company_pair):
         registry = SettingRegistry()
@@ -287,7 +264,7 @@ class TestAsyncService:
         assert answers.payload == direct.certain_answers(tree, query).payload
 
     @pytest.mark.parametrize("executor,parallel", [
-        ("serial", 1), ("thread", 3)])
+        ("serial", 1), ("thread", 3), ("host", 2)])
     def test_mixed_batch_parity_across_executors(self, library_pair,
                                                  company_pair, executor,
                                                  parallel):
@@ -300,26 +277,66 @@ class TestAsyncService:
                 lib_fp = service.register(lib_setting)
                 com_fp = service.register(com_setting)
                 requests = [
-                    certain_answers_request(lib_fp, lib_tree, lib_query),
                     certain_answers_request(com_fp, com_tree, com_query),
+                    certain_answers_request(lib_fp, lib_tree, lib_query),
                     consistency_request(lib_fp),
                     consistency_request(com_fp),
                     certain_answers_request(lib_fp, lib_tree, lib_query),
                 ]
-                return await service.batch(requests)
+                return lib_fp, com_fp, await service.batch(requests)
 
-        slots = asyncio.run(scenario())
+        lib_fp, com_fp, slots = asyncio.run(scenario())
+        # Slots keep submission order whatever order the groups ran in.
+        assert [slot.index for slot in slots] == [0, 1, 2, 3, 4]
+        assert [slot.fingerprint for slot in slots] == \
+            [com_fp, lib_fp, lib_fp, com_fp, lib_fp]
         assert all(slot.ok for slot in slots)
         lib_direct = ExchangeEngine(lib_setting)
         com_direct = ExchangeEngine(com_setting)
         assert slots[0].result.payload == \
-            lib_direct.certain_answers(lib_tree, lib_query).payload
-        assert slots[1].result.payload == \
             com_direct.certain_answers(com_tree, com_query).payload
+        assert slots[1].result.payload == \
+            lib_direct.certain_answers(lib_tree, lib_query).payload
         assert slots[2].result.payload is True
         assert slots[3].result.payload is True
         # The duplicate request was a result-cache hit on the library shard.
         assert slots[4].result.cache["result_cache_hits"] >= 1
+
+    def test_cancelled_batch_still_releases_its_quota(self, library_pair,
+                                                      company_pair):
+        """A group still queued on the executor when its batch is
+        cancelled runs anyway, so the in-flight slots it holds return."""
+        from repro.service import QuotaPolicy
+        gate = threading.Event()
+
+        async def scenario():
+            async with AsyncExchangeService(
+                    executor="thread", parallel=1,
+                    quota=QuotaPolicy(max_in_flight=4)) as service:
+                keys = [service.register(library_pair[0]),
+                        service.register(company_pair[0])]
+                submit = service.router.submit
+
+                def held(request):  # the first group holds the one thread
+                    gate.wait(timeout=30)
+                    return submit(request)
+
+                service.router.submit = held
+                batch = asyncio.ensure_future(service.batch(
+                    [consistency_request(key) for key in keys]))
+                for _ in range(5):  # both groups reach the executor
+                    await asyncio.sleep(0)
+                batch.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await batch
+                gate.set()
+                for _ in range(1000):
+                    if not any(map(service.registry.in_flight, keys)):
+                        break
+                    await asyncio.sleep(0.01)
+                return [service.registry.in_flight(key) for key in keys]
+
+        assert asyncio.run(scenario()) == [0, 0]
 
     def test_empty_batch(self, library_setting):
         async def scenario():

@@ -20,7 +20,7 @@ from repro.patterns.parse import parse_pattern
 from repro.patterns.queries import pattern_query
 from repro.service import (AsyncExchangeService, UnknownSettingError,
                            certain_answers_request, classify_request,
-                           consistency_request)
+                           consistency_request, solve_request)
 from repro.workloads import library
 
 
@@ -114,7 +114,7 @@ class TestAwaitSidePropagation:
 
 
 class TestMixedBatchIsolation:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "thread", "host"])
     def test_failure_marks_only_its_own_slot(self, non_univocal_setting,
                                              three_records, library_setting,
                                              executor):
@@ -146,23 +146,31 @@ class TestMixedBatchIsolation:
         assert slots[0].result.payload == slots[4].result.payload != set()
         assert slots[2].ok and slots[3].ok
 
-    def test_unknown_fingerprint_fails_only_its_group(self, library_setting):
+    @pytest.mark.parametrize("executor", ["serial", "thread", "host"])
+    def test_unknown_fingerprint_fails_only_its_group(self, library_setting,
+                                                      executor):
+        """The in-process router fails an unknown fingerprint when its
+        handle settles, the shard host already at submission; either way
+        only that fingerprint's slots fail."""
         ok_tree = library.generate_source(2, authors_per_book=1, seed=2)
         ok_query = library.query_writer_of("Book-0")
 
         async def scenario():
-            async with AsyncExchangeService() as service:
+            async with AsyncExchangeService(executor=executor) as service:
                 lib_fp = service.register(library_setting)
                 requests = [
                     certain_answers_request(lib_fp, ok_tree, ok_query),
                     consistency_request("f" * 64),
                     consistency_request(lib_fp),
+                    solve_request("f" * 64, ok_tree),
                 ]
                 return await service.batch(requests)
 
         slots = run(scenario())
-        assert [slot.failed for slot in slots] == [False, True, False]
+        assert [slot.failed for slot in slots] == [False, True, False, True]
         assert isinstance(slots[1].error, UnknownSettingError)
+        assert isinstance(slots[3].error, UnknownSettingError)
+        assert slots[0].ok and slots[2].ok
 
     def test_return_exceptions_false_reraises_after_settling(
             self, non_univocal_setting, three_records, library_setting):

@@ -1,14 +1,17 @@
 """ShardHost: one worker process per core, supervised.
 
 Covers fingerprint routing, one pickle per request frame, single-request and
-group parity against a direct engine, worker-crash lifecycle (restart,
-re-registration, ``worker_restarts`` accounting, no lost or duplicated
-replies), cross-process stats aggregation and the service facade's
-``executor="host"`` wiring.
+pipelined (``submit``) parity against a direct engine, worker-crash
+lifecycle (restart, re-registration, ``worker_restarts`` accounting, no lost
+or duplicated replies), workers ending with their supervisor (interpreter
+exit without ``close()``, a killed supervisor), cross-process stats
+aggregation and the service facade's ``executor="host"`` wiring.
 """
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -67,6 +70,9 @@ class TestRoutingAndParity:
         with pytest.raises(UnknownSettingError):
             host.execute(consistency_request("f" * 64))
         with pytest.raises(UnknownSettingError):
+            host.submit(consistency_request("f" * 64))
+        assert all(not handle.pending for handle in host._handles)
+        with pytest.raises(UnknownSettingError):
             host.prewarm("f" * 64)
 
     def test_single_request_parity_with_direct_engine(self, host,
@@ -117,8 +123,23 @@ class TestRoutingAndParity:
         fingerprint = host.register(setting)
         with pytest.raises(ChaseError, match="not univocal"):
             host.execute(certain_answers_request(fingerprint, tree, query))
+        # The same exception through a call handle, collected later.
+        handle = host.submit(certain_answers_request(fingerprint, tree, query))
+        with pytest.raises(ChaseError, match="not univocal"):
+            handle.result()
         assert host.execute(consistency_request(fingerprint)).ok
         assert host.stats()["worker_restarts"] == 0
+
+    def test_submitted_handles_match_execute(self, host, library_pair):
+        """Submissions made back to back pipeline down one pipe; each
+        handle settles with the payload ``execute`` returns."""
+        setting, tree, query = library_pair
+        fingerprint = host.register(setting)
+        request = certain_answers_request(fingerprint, tree, query)
+        handles = [host.submit(request) for _ in range(3)]
+        want = answers_to_wire(host.execute(request).payload)
+        assert [answers_to_wire(handle.result().payload)
+                for handle in handles] == [want] * 3
 
     def test_results_stay_cached_in_the_worker(self, host, library_pair):
         """The point of long-lived workers: repeat traffic hits the
@@ -165,35 +186,6 @@ class TestFramePickling:
         assert all(not handle.pending for handle in host._handles)
         assert host.execute(consistency_request(fingerprint)).ok
         assert host.stats()["worker_restarts"] == 0
-
-
-class TestGroups:
-    def test_group_keeps_indices_and_isolates_failures(self, host,
-                                                       library_pair):
-        setting, tree, query = library_pair
-        fingerprint = host.register(setting)
-        unknown = "e" * 64
-        group = [(0, certain_answers_request(fingerprint, tree, query)),
-                 (3, consistency_request(unknown)),
-                 (5, certain_answers_request(fingerprint, tree, query))]
-        done = []
-        results = host.execute_group(fingerprint, group,
-                                     on_done=lambda i, r: done.append(i))
-        assert [slot.index for slot in results] == [0, 3, 5]
-        assert results[0].ok and results[2].ok
-        assert isinstance(results[1].error, UnknownSettingError)
-        assert sorted(done) == [0, 3, 5]
-
-    def test_group_results_match_singles(self, host, library_pair):
-        setting, tree, query = library_pair
-        fingerprint = host.register(setting)
-        single = host.execute(certain_answers_request(fingerprint, tree,
-                                                      query))
-        group = host.execute_group(
-            fingerprint,
-            [(0, certain_answers_request(fingerprint, tree, query))])
-        assert answers_to_wire(group[0].result.payload) == \
-            answers_to_wire(single.payload)
 
 
 class TestWorkerLifecycle:
@@ -290,12 +282,12 @@ class TestWorkerLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             host.execute(consistency_request(fingerprint))
 
-    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("pipelined", [False, True])
     def test_host_closing_under_a_submission_fails_it(
-            self, library_setting, monkeypatch, grouped):
+            self, library_setting, monkeypatch, pipelined):
         """A close racing a submission leaves a dead handle that is never
-        replaced; both submission paths must give up instead of re-reading
-        it forever."""
+        replaced; ``execute`` and ``submit`` must give up instead of
+        re-reading it forever."""
         host = ShardHost(workers=1)
         fingerprint = host.register(library_setting)
         request = consistency_request(fingerprint)
@@ -311,9 +303,8 @@ class TestWorkerLifecycle:
 
         def serve():
             try:
-                if grouped:
-                    outcome.extend(host.execute_group(fingerprint,
-                                                      [(0, request)]))
+                if pipelined:
+                    host.submit(request).result()
                 else:
                     host.execute(request)
             except RuntimeError as error:
@@ -323,9 +314,80 @@ class TestWorkerLifecycle:
         worker.start()
         worker.join(timeout=10.0)
         assert not worker.is_alive(), "submission spun on a dead handle"
-        error = outcome[0].error if grouped else outcome[0]
-        assert isinstance(error, RuntimeError)
-        assert "closed" in str(error)
+        assert isinstance(outcome[0], RuntimeError)
+        assert "closed" in str(outcome[0])
+
+
+#: A supervisor process: a host with ``workers`` workers and one setting;
+#: it prints the worker pids, then runs ``tail``.
+SUPERVISOR = """
+import time
+from repro.service import ShardHost
+from repro.workloads import library
+
+host = ShardHost(workers={workers})
+host.register(library.library_setting())
+print(" ".join(map(str, host.worker_pids())), flush=True)
+{tail}
+"""
+
+
+def live_group_members(group):
+    """Pids of process group ``group`` that still run; a zombie counts as
+    gone (an orphan's parent may never reap it)."""
+    members = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # it just went away
+        if int(fields[2]) == group and fields[0] not in ("Z", "X"):
+            members.append(int(entry))
+    return members
+
+
+def kill_group(group):
+    try:
+        os.killpg(group, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+def start_supervisor(workers, tail):
+    return subprocess.Popen(
+        [sys.executable, "-c", SUPERVISOR.format(workers=workers, tail=tail)],
+        stdout=subprocess.PIPE, text=True, start_new_session=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="reads process groups from /proc")
+class TestWorkersEndWithTheSupervisor:
+    """Each supervisor runs in its own session, so its process group holds
+    it and its workers only; whatever survives is killed afterwards."""
+
+    def test_workers_exit_when_the_supervisor_is_killed(self):
+        with start_supervisor(2, "time.sleep(120)") as supervisor:
+            try:
+                assert len(supervisor.stdout.readline().split()) == 2
+                os.kill(supervisor.pid, signal.SIGKILL)
+                supervisor.wait()
+                wait_until(lambda: not live_group_members(supervisor.pid),
+                           timeout=5.0,
+                           message="workers to exit with their supervisor")
+            finally:
+                kill_group(supervisor.pid)
+
+    def test_exit_without_close_returns_and_leaves_no_worker(self):
+        for _ in range(3):
+            with start_supervisor(1, "") as supervisor:
+                try:
+                    assert len(supervisor.stdout.readline().split()) == 1
+                    assert supervisor.wait(timeout=20) == 0
+                    assert not live_group_members(supervisor.pid)
+                finally:
+                    kill_group(supervisor.pid)
 
 
 class TestStatsAggregation:

@@ -244,8 +244,9 @@ class TestQuota:
         assert registry.stats()["quota_rejections"] == 1
         assert len(registry) == 1
 
+    @pytest.mark.parametrize("executor", ["serial", "thread", "host"])
     def test_batch_rejections_are_deterministic_and_isolated(
-            self, library_pair):
+            self, library_pair, executor):
         """With max_in_flight=2, a 4-request same-setting batch admits the
         first two slots and rejects the last two — every run, with typed
         error slots and untouched neighbours."""
@@ -254,7 +255,7 @@ class TestQuota:
 
         async def scenario():
             async with AsyncExchangeService(
-                    executor="thread", parallel=4,
+                    executor=executor, parallel=4,
                     quota=QuotaPolicy(max_in_flight=2)) as service:
                 fingerprint = service.register(setting)
                 requests = [

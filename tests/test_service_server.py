@@ -166,6 +166,7 @@ def live_server():
     if process.poll() is None:  # tests normally shut it down themselves
         process.kill()
     process.wait()
+    process.stdout.close()
 
 
 class TestLiveServer:
@@ -296,6 +297,7 @@ class TestLiveServer:
             if process.poll() is None:
                 process.kill()
                 process.wait()
+            process.stdout.close()
 
 
 class TestInProcessServer:
@@ -444,7 +446,10 @@ class TestTypedErrorReplies:
         {"op": "register", "setting": "library"},
         {"op": "register", "setting": {"source_dtd": 7}},
         {"op": "consistency", "strategy": 1},
-    ], ids=["setting-not-an-object", "dtd-not-an-object", "strategy-int"])
+        {"op": "certain_answers", "tree": _library_rows("Author-1"),
+         "query": {"pattern": "bib[writer(@name=w)]"}},
+    ], ids=["setting-not-an-object", "dtd-not-an-object", "strategy-int",
+            "query-not-text"])
     def test_malformed_fields_are_value_errors(self, client, fields):
         fingerprint = client.register(library.library_setting())
         with pytest.raises(ValueError) as excinfo:

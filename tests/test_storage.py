@@ -545,6 +545,7 @@ class TestRegistryPersistence:
         assert registry.store.get_setting(fingerprint).prewarm is False
         # The persisted pickle answers like a fresh compile.
         stored = registry.store.get_setting(fingerprint)
+        registry.close()
         engine = ExchangeEngine(stored.compiled)
         assert engine.check_consistency().payload is True
 
@@ -555,8 +556,9 @@ class TestRegistryPersistence:
         fingerprint = first.register(library_setting, persist=True,
                                      prewarm=True)
         tree_fp = first.store.put_tree(_tree())
-        first.close()
-        first.store.close()
+        first.close()  # closes the store it opened from the path
+        with pytest.raises(StoreError, match="closed"):
+            first.store.put_tree(_tree())
 
         # "Restart": a brand-new service over the same directory.
         from repro.service import AsyncExchangeService
@@ -583,9 +585,21 @@ class TestRegistryPersistence:
                                                    library_setting):
         registry = SettingRegistry(store=tmp_path / "store")
         stats = registry.stats()
+        registry.close()
         assert stats["store_hits"] == 0
         assert stats["store_misses"] == 0
         assert stats["store_bytes"] == 0
+
+    def test_a_store_passed_in_stays_the_callers(self, tmp_path):
+        """Registry, host and service close only a store they opened from
+        a path; a ``CorpusStore`` handed to them stays open."""
+        from repro.service import AsyncExchangeService
+        with CorpusStore(tmp_path / "store") as store:
+            SettingRegistry(store=store).close()
+            ShardHost(workers=1, store=store).close()
+            AsyncExchangeService(store=store, executor="serial").close()
+            fingerprint = store.put_tree(_tree())
+            assert store.get_frozen(fingerprint).fingerprint() == fingerprint
 
     def test_shard_host_requires_on_disk_store(self):
         with pytest.raises(ValueError, match="in-memory"):
